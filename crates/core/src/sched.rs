@@ -61,13 +61,25 @@
 //! in flight across a migration and per-isolate totals are bit-identical
 //! across scheduler modes — the invariant the cross-mode proptests pin.
 //!
-//! **Cross-worker termination.** [`ClusterCtl::terminate`] requests an
-//! isolate kill from any thread; the request is delivered by whichever
-//! worker next picks the unit up, *before* its next slice.
-//! [`ClusterCtl::terminate_at`] defers delivery until the unit has run a
-//! given number of slices — a *deterministic* mid-run kill, used by the
-//! mid-call revocation tests to take a serving isolate down at the same
-//! execution point under every scheduler mode.
+//! **Unit events: kills and captures.** [`ClusterCtl::terminate`]
+//! requests an isolate kill from any thread; whichever worker next picks
+//! the unit up delivers it, *before* its next slice.
+//! [`ClusterCtl::terminate_at`] and [`ClusterCtl::checkpoint_at`] address
+//! an event to a point of the unit's own virtual clock `V`. Both kinds
+//! share one pending list, and delivery follows one contract:
+//!
+//! * the event lands at the first quantum boundary at or past `V` (the
+//!   picking worker caps the slice at `V − vclock`, and [`Vm::run`]
+//!   checks its budget only between quanta). A sleep that jumps the
+//!   clock is not budgeted, so across one the event may land up to a
+//!   slice later, still at a point fixed by the unit's own execution;
+//! * if the unit never reaches `V`, the event lands at cluster stall;
+//! * the landing point is the same under every schedule if and only if
+//!   the unit's quantum boundaries up to `V` are. That holds inside
+//!   compute-only stretches and at a blocked fixpoint. It does not hold
+//!   inside mail-driven work: a service pump that gets two requests in
+//!   one drain under one schedule, and in two drains under another,
+//!   ends its quanta at different vclocks.
 
 use crate::accounting::{ClusterAccounts, WorkerCpuBuffer};
 use crate::checkpoint::{CheckpointError, UnitImage};
@@ -161,21 +173,20 @@ impl UnitHandle {
         self.ctl.terminate(self.id, isolate);
     }
 
-    /// Like [`UnitHandle::terminate`], deferred until the unit has run
-    /// at least `min_slices` quantum slices — a deterministic mid-run
-    /// kill point.
-    pub fn terminate_at(&self, isolate: IsolateId, min_slices: u64) {
-        self.ctl.terminate_at(self.id, isolate, min_slices);
+    /// Like [`UnitHandle::terminate`], delivered at the unit's vclock
+    /// `at_vclock` (see [`ClusterCtl::terminate_at`]).
+    pub fn terminate_at(&self, isolate: IsolateId, at_vclock: u64) {
+        self.ctl.terminate_at(self.id, isolate, at_vclock);
     }
 
     /// Requests a checkpoint image of this unit, cut at the first
-    /// quantum boundary where it has executed at least `after_slices`
-    /// slices (see [`ClusterCtl::checkpoint_at`] for the delivery and
-    /// determinism contract). Returns a [`CheckpointTicket`]; call
+    /// quantum boundary where its vclock is at or past `at_vclock` (see
+    /// [`ClusterCtl::checkpoint_at`] for the delivery and determinism
+    /// contract). Returns a [`CheckpointTicket`]; call
     /// [`CheckpointTicket::wait`] after [`Cluster::run`] returns (or
     /// from another OS thread, under the parallel scheduler).
-    pub fn checkpoint_at(&self, after_slices: u64) -> CheckpointTicket {
-        self.ctl.checkpoint_at(self.id, after_slices)
+    pub fn checkpoint_at(&self, at_vclock: u64) -> CheckpointTicket {
+        self.ctl.checkpoint_at(self.id, at_vclock)
     }
 }
 
@@ -350,28 +361,27 @@ impl CheckpointTicket {
     }
 }
 
-/// A pending checkpoint request (see [`UnitHandle::checkpoint_at`]).
-#[derive(Debug, Clone)]
-struct CkptRequest {
-    unit: UnitId,
-    /// Captured at the first quantum boundary where the unit has run at
-    /// least this many slices.
-    after_slices: u64,
-    /// Set by the quiescence path: the next capture attempt must settle
-    /// the ticket (image or error) instead of retrying, so a permanently
-    /// blocked unit cannot livelock the cluster's wrap-up.
-    final_attempt: bool,
-    ticket: Arc<TicketInner>,
+/// What a [`UnitEvent`] does when it lands.
+#[derive(Debug)]
+enum EventAction {
+    /// Terminate this isolate inside the unit.
+    Kill(IsolateId),
+    /// Cut a checkpoint image into this ticket.
+    Capture(Arc<TicketInner>),
 }
 
-/// A pending cross-worker termination request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct KillRequest {
+/// A pending kill or capture, addressed to a point of one unit's
+/// virtual clock (see the module docs for the delivery contract).
+#[derive(Debug)]
+struct UnitEvent {
     unit: UnitId,
-    isolate: IsolateId,
-    /// Delivered once the unit has run at least this many slices (0 =
-    /// at its next pickup).
-    after_slices: u64,
+    /// Due once the unit's vclock is at or past this value.
+    at_vclock: u64,
+    /// Set at cluster stall: the event is due whatever the vclock, and a
+    /// capture must settle (image or error) instead of retrying, since
+    /// no further traffic can clean the boundary.
+    at_stall: bool,
+    action: EventAction,
 }
 
 /// Shared remote-control handle for a cluster (cloneable, thread-safe).
@@ -382,13 +392,12 @@ pub struct ClusterCtl {
 
 #[derive(Debug, Default)]
 struct CtlInner {
-    /// Fast-path flag so workers only lock the kill list when a request
-    /// is actually pending.
+    /// Fast-path flag so a pickup locks `events` only when one is
+    /// pending. Set and cleared under the lock, so at every unlock it
+    /// agrees with `!events.is_empty()`: a worker's fast-path read can
+    /// only say "false" for an event that had not been filed yet.
     armed: AtomicBool,
-    kills: Mutex<Vec<KillRequest>>,
-    /// Fast-path flag for the checkpoint list, mirroring `armed`.
-    ckpt_armed: AtomicBool,
-    ckpts: Mutex<Vec<CkptRequest>>,
+    events: Mutex<Vec<UnitEvent>>,
 }
 
 impl ClusterCtl {
@@ -401,152 +410,92 @@ impl ClusterCtl {
         self.terminate_at(unit, isolate, 0);
     }
 
-    /// Like [`ClusterCtl::terminate`], but deferred until the unit has
-    /// executed at least `min_slices` quantum slices. Because a unit's
-    /// slice count is a function of its own deterministic execution (not
-    /// of wall-clock time), this yields the *same* kill point under
-    /// `Deterministic` and `Parallel(n)` — the deterministic mid-call
-    /// revocation tests are built on it.
-    pub fn terminate_at(&self, unit: UnitId, isolate: IsolateId, min_slices: u64) {
-        let mut kills = self.inner.kills.lock().unwrap();
-        kills.push(KillRequest {
-            unit,
-            isolate,
-            after_slices: min_slices,
-        });
-        // Armed while still holding the lock, mirroring `take_for`'s
-        // clear-under-lock: at every unlock, `armed` agrees with
-        // `!kills.is_empty()`, so a worker's fast-path read can only
-        // say "false" for a kill that had not been filed yet.
-        self.inner.armed.store(true, Ordering::Release);
-    }
-
-    /// Takes the kill requests addressed to `unit` that are due at
-    /// `slices` executed, if any.
-    fn take_for(&self, unit: UnitId, slices: u64) -> Vec<IsolateId> {
-        if !self.inner.armed.load(Ordering::Acquire) {
-            return Vec::new();
-        }
-        let mut kills = self.inner.kills.lock().unwrap();
-        let mut taken = Vec::new();
-        kills.retain(|k| {
-            if k.unit == unit && k.after_slices <= slices {
-                taken.push(k.isolate);
-                false
-            } else {
-                true
-            }
-        });
-        if kills.is_empty() {
-            self.inner.armed.store(false, Ordering::Release);
-        }
-        taken
+    /// Like [`ClusterCtl::terminate`], delivered at the first quantum
+    /// boundary where the unit's vclock is at or past `at_vclock`, or at
+    /// cluster stall if the unit never gets there. The vclock counts the
+    /// unit's own instructions, never wall-clock time, so the kill point
+    /// is the same under `Deterministic` and every `Parallel(n)` when
+    /// the unit's quantum boundaries up to `at_vclock` are: inside a
+    /// compute-only stretch, or at a blocked fixpoint — not inside
+    /// mail-driven work, whose quanta end wherever a drain ran dry.
+    pub fn terminate_at(&self, unit: UnitId, isolate: IsolateId, at_vclock: u64) {
+        self.file(unit, at_vclock, EventAction::Kill(isolate));
     }
 
     /// Requests a checkpoint of `unit` at the first quantum boundary
-    /// where it has executed at least `after_slices` slices. Like
-    /// [`ClusterCtl::terminate_at`], the cut point is a function of the
-    /// unit's own deterministic slice count, never of wall-clock time,
-    /// so the image is bit-identical under `Deterministic` and every
-    /// `Parallel(n)` — the restore-determinism tests are built on that.
+    /// where its vclock is at or past `at_vclock` — the same point, and
+    /// so a bit-identical image, under every scheduler mode on the terms
+    /// of [`ClusterCtl::terminate_at`]. The image is cut after the
+    /// boundary's mail drain.
     ///
     /// If the unit is not at a clean boundary there (in-flight cross-
     /// unit calls, undrained mail), the request is retried at later
     /// boundaries until the traffic drains; a unit that finishes, or a
-    /// cluster that quiesces, settles the request against the unit's
+    /// cluster that stalls, settles the request against the unit's
     /// final state instead.
-    pub fn checkpoint_at(&self, unit: UnitId, after_slices: u64) -> CheckpointTicket {
+    pub fn checkpoint_at(&self, unit: UnitId, at_vclock: u64) -> CheckpointTicket {
         let inner = Arc::new(TicketInner::default());
-        let mut ckpts = self.inner.ckpts.lock().unwrap();
-        ckpts.push(CkptRequest {
-            unit,
-            after_slices,
-            final_attempt: false,
-            ticket: Arc::clone(&inner),
-        });
-        // Armed under the lock, mirroring `terminate_at`.
-        self.inner.ckpt_armed.store(true, Ordering::Release);
-        drop(ckpts);
+        self.file(unit, at_vclock, EventAction::Capture(Arc::clone(&inner)));
         CheckpointTicket { inner }
     }
 
-    /// Takes the checkpoint requests addressed to `unit` that are due at
-    /// `slices` executed (final-marked requests are always due).
-    fn take_ckpts_for(&self, unit: UnitId, slices: u64) -> Vec<CkptRequest> {
-        if !self.inner.ckpt_armed.load(Ordering::Acquire) {
+    /// Adds an event to the pending list.
+    fn file(&self, unit: UnitId, at_vclock: u64, action: EventAction) {
+        let mut pending = self.inner.events.lock().unwrap();
+        pending.push(UnitEvent {
+            unit,
+            at_vclock,
+            at_stall: false,
+            action,
+        });
+        self.inner.armed.store(true, Ordering::Release);
+    }
+
+    /// Takes the events addressed to `unit` that are due at `vclock`,
+    /// plus the earliest `at_vclock` still pending for it (which caps
+    /// the unit's next slice).
+    fn take_due(&self, unit: UnitId, vclock: u64) -> (Vec<UnitEvent>, Option<u64>) {
+        if !self.inner.armed.load(Ordering::Acquire) {
+            return (Vec::new(), None);
+        }
+        let mut pending = self.inner.events.lock().unwrap();
+        let due = pending
+            .extract_if(.., |e| {
+                e.unit == unit && (e.at_stall || e.at_vclock <= vclock)
+            })
+            .collect();
+        let armed = !pending.is_empty();
+        self.inner.armed.store(armed, Ordering::Release);
+        let ahead = pending.iter().filter(|e| e.unit == unit);
+        (due, ahead.map(|e| e.at_vclock).min())
+    }
+
+    /// The parked units (keyed by index) that have an event due. At
+    /// `stall` every pending event of a parked unit is made due.
+    fn due_parked(&self, parked: &BTreeMap<u32, ParkedUnit>, stall: bool) -> Vec<u32> {
+        if !self.inner.armed.load(Ordering::Acquire) {
             return Vec::new();
         }
-        let mut ckpts = self.inner.ckpts.lock().unwrap();
-        let mut taken = Vec::new();
-        let mut i = 0;
-        while i < ckpts.len() {
-            let c = &ckpts[i];
-            if c.unit == unit && (c.after_slices <= slices || c.final_attempt) {
-                taken.push(ckpts.remove(i));
-            } else {
-                i += 1;
+        let mut due = Vec::new();
+        for e in self.inner.events.lock().unwrap().iter_mut() {
+            let Some(p) = parked.get(&e.unit.index()) else {
+                continue;
+            };
+            e.at_stall |= stall;
+            if e.at_stall || e.at_vclock <= p.unit.vm.vclock() {
+                due.push(e.unit.index());
             }
         }
-        if ckpts.is_empty() {
-            self.inner.ckpt_armed.store(false, Ordering::Release);
-        }
-        taken
+        due.sort_unstable();
+        due.dedup();
+        due
     }
 
-    /// Re-files requests whose capture attempt found the unit unclean
-    /// (they retry at the unit's next boundary).
-    fn put_back_ckpts(&self, reqs: Vec<CkptRequest>) {
-        if reqs.is_empty() {
-            return;
-        }
-        let mut ckpts = self.inner.ckpts.lock().unwrap();
-        ckpts.extend(reqs);
-        self.inner.ckpt_armed.store(true, Ordering::Release);
-    }
-
-    /// `true` when any checkpoint request for `unit` is pending.
-    fn has_pending_ckpt(&self, unit: UnitId) -> bool {
-        if !self.inner.ckpt_armed.load(Ordering::Acquire) {
-            return false;
-        }
-        self.inner
-            .ckpts
-            .lock()
-            .unwrap()
-            .iter()
-            .any(|c| c.unit == unit)
-    }
-
-    /// Marks every pending request for `unit` final (quiescence wrap-up:
-    /// no further slice can ever make a not-yet-due request due, and no
-    /// further traffic can clean an unclean boundary).
-    fn mark_ckpts_final(&self, unit: UnitId) {
-        let mut ckpts = self.inner.ckpts.lock().unwrap();
-        for c in ckpts.iter_mut() {
-            if c.unit == unit {
-                c.final_attempt = true;
-            }
-        }
-    }
-
-    /// Drains every pending request (cluster shutdown safety net).
-    fn take_all_ckpts(&self) -> Vec<CkptRequest> {
-        let mut ckpts = self.inner.ckpts.lock().unwrap();
-        self.inner.ckpt_armed.store(false, Ordering::Release);
-        std::mem::take(&mut *ckpts)
-    }
-
-    /// `true` when a kill addressed to `unit` is due at `slices`.
-    fn has_pending(&self, unit: UnitId, slices: u64) -> bool {
-        if !self.inner.armed.load(Ordering::Acquire) {
-            return false;
-        }
-        self.inner
-            .kills
-            .lock()
-            .unwrap()
-            .iter()
-            .any(|k| k.unit == unit && k.after_slices <= slices)
+    /// Drains every pending event (cluster shutdown safety net).
+    fn take_all(&self) -> Vec<UnitEvent> {
+        let mut pending = self.inner.events.lock().unwrap();
+        self.inner.armed.store(false, Ordering::Release);
+        std::mem::take(&mut *pending)
     }
 }
 
@@ -556,8 +505,7 @@ pub const DEFAULT_SLICE: u64 = 10_000;
 
 /// Builds a [`Cluster`]: scheduling mode, slice length, and the
 /// [`VmOptions`] defaults its units are expected to boot with. This is
-/// the embedding entry point of the v2 API — it owns everything the old
-/// `Cluster::{new, from_options, with_slice}` trio spread out.
+/// the one way to construct a cluster.
 ///
 /// ```
 /// use ijvm_core::prelude::*;
@@ -662,38 +610,6 @@ impl Cluster {
     /// Starts building a cluster (the v2 embedding entry point).
     pub fn builder() -> ClusterBuilder {
         ClusterBuilder::new()
-    }
-
-    /// Shorthand for `Cluster::builder().scheduler(kind).build()`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Cluster::builder().scheduler(kind).build()` — the \
-                builder is the one construction path and also carries the \
-                flow-control knobs (`ClusterBuilder::mailbox_quota`)"
-    )]
-    pub fn new(kind: SchedulerKind) -> Cluster {
-        Cluster::builder().scheduler(kind).build()
-    }
-
-    /// Creates a cluster with the mode selected in `options`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Cluster::builder().vm_options(options).build()`"
-    )]
-    pub fn from_options(options: &VmOptions) -> Cluster {
-        Cluster::builder().vm_options(options.clone()).build()
-    }
-
-    /// Overrides the per-slice instruction budget (shorthand for the
-    /// builder's [`ClusterBuilder::slice`]).
-    #[deprecated(
-        since = "0.3.0",
-        note = "configure the slice up front with `ClusterBuilder::slice` \
-                instead of mutating a built cluster"
-    )]
-    pub fn with_slice(mut self, slice: u64) -> Cluster {
-        self.slice = slice.max(1);
-        self
     }
 
     /// The [`VmOptions`] defaults units of this cluster should boot with
@@ -907,10 +823,9 @@ struct Shared {
     /// Units currently held by a worker (popped, not yet disposed).
     running: AtomicUsize,
     /// Units parked off the queues, keyed by unit index. A `BTreeMap`
-    /// on purpose: [`Shared::try_quiesce`] iterates it to pick overdue
-    /// kills and to wrap up, and both requeue units — hash-iteration
-    /// order here would leak straight into requeue (and so delivery)
-    /// order under the deterministic scheduler.
+    /// on purpose: [`Shared::try_quiesce`] wraps up in key order, and
+    /// hash-iteration order here would leak straight into finish order
+    /// under the deterministic scheduler.
     parked_units: Mutex<BTreeMap<u32, ParkedUnit>>,
     /// Park/unpark for idle workers (paired with `parked`).
     parked: Mutex<()>,
@@ -1037,8 +952,7 @@ impl Shared {
                         0,
                     );
                 }
-                let w = p.unit.last_worker.unwrap_or(id as usize) % self.queues.len();
-                self.queues[w].lock().unwrap().push_back(p.unit);
+                self.requeue(p.unit);
                 moved = true;
             }
         }
@@ -1048,54 +962,55 @@ impl Shared {
         moved
     }
 
-    /// Whether `unit` must stay schedulable after a terminal outcome:
-    /// it exports live services, waits on a reply, or has undrained mail.
-    fn keeps_unit_alive(unit: &Unit) -> bool {
-        unit.vm.port_keeps_unit_alive()
+    /// Puts a parked unit back on the run queue of the worker that last
+    /// ran it.
+    fn requeue(&self, unit: Unit) {
+        let w = unit.last_worker.unwrap_or(unit.id.index() as usize) % self.queues.len();
+        self.queues[w].lock().unwrap().push_back(unit);
     }
 
-    /// Settles the checkpoint requests due for `unit` at its current
-    /// boundary: a clean capture fulfills every due ticket with a clone
-    /// of one image; an unclean boundary re-files non-final requests for
-    /// the next boundary and fails final ones.
-    fn deliver_checkpoints(&self, unit: &Unit) {
-        let due = self.ctl.take_ckpts_for(unit.id, unit.slices);
-        if due.is_empty() {
-            return;
+    /// Requeues the parked units with an event due (at `stall`, with
+    /// any event pending), so the events land at pickup. Returns whether
+    /// any unit moved.
+    fn requeue_due(&self, parked: &mut BTreeMap<u32, ParkedUnit>, stall: bool) -> bool {
+        let due = self.ctl.due_parked(parked, stall);
+        for &id in &due {
+            self.requeue(parked.remove(&id).expect("listed as parked").unit);
         }
-        match unit.vm.checkpoint() {
-            Ok(image) => {
-                for req in due {
-                    req.ticket.fulfill(Ok(image.clone()));
-                }
-            }
-            Err(e) => {
-                let mut retry = Vec::new();
-                for req in due {
-                    if req.final_attempt {
-                        req.ticket.fulfill(Err(e.clone()));
-                    } else {
-                        retry.push(req);
-                    }
-                }
-                self.ctl.put_back_ckpts(retry);
+        if !due.is_empty() {
+            self.notify();
+        }
+        !due.is_empty()
+    }
+
+    /// Settles the captures among `due` (its kills have already landed)
+    /// at `unit`'s current boundary: a clean capture fulfills every
+    /// ticket with a clone of one image. An unclean one fails the
+    /// tickets at the unit's `last` boundary or made due by the stall,
+    /// and re-files the others for the first boundary past this one.
+    fn deliver_captures(&self, unit: &Unit, due: Vec<UnitEvent>, last: bool) {
+        let mut result = None;
+        for e in due {
+            let EventAction::Capture(ticket) = e.action else {
+                continue;
+            };
+            let result = result.get_or_insert_with(|| unit.vm.checkpoint());
+            if result.is_ok() || e.at_stall || last {
+                ticket.fulfill(result.clone());
+            } else {
+                let retry = EventAction::Capture(ticket);
+                self.ctl.file(unit.id, unit.vm.vclock() + 1, retry);
             }
         }
     }
 
     /// Finishes one unit.
     fn finish(&self, unit: Unit, outcome: RunOutcome) {
-        // A finishing unit settles every checkpoint request addressed to
-        // it, whatever its `after_slices`: the contract is "at slice N
-        // or at unit completion, whichever comes first" — there will be
-        // no later boundary.
-        let pending = self.ctl.take_ckpts_for(unit.id, u64::MAX);
-        if !pending.is_empty() {
-            let result = unit.vm.checkpoint();
-            for req in pending {
-                req.ticket.fulfill(result.clone());
-            }
-        }
+        // A finishing unit settles every capture addressed to it,
+        // whatever its `at_vclock`: there will be no later boundary.
+        // Its pending kills have nothing left to stop.
+        let (pending, _) = self.ctl.take_due(unit.id, u64::MAX);
+        self.deliver_captures(&unit, pending, true);
         let report = UnitReport {
             id: unit.id,
             outcome,
@@ -1113,23 +1028,10 @@ impl Shared {
     /// nothing can ever make progress again — finish every parked unit
     /// with its recorded outcome. Runs under the `parked_units` lock so
     /// no park/unpark can interleave. Returns `true` when it made
-    /// progress (requeued a unit for an overdue kill, or wrapped up).
+    /// progress (requeued a unit for a due event, or wrapped up).
     fn try_quiesce(&self, wt: &mut Option<WorkerTrace>, me: usize) -> bool {
         let mut parked = self.parked_units.lock().unwrap();
-        // Overdue termination requests reach parked units here: requeue
-        // them so the kill is delivered at a normal pickup.
-        let overdue: Vec<u32> = parked
-            .iter()
-            .filter(|(_, p)| self.ctl.has_pending(p.unit.id, p.unit.slices))
-            .map(|(id, _)| *id)
-            .collect();
-        if !overdue.is_empty() {
-            for id in overdue {
-                let p = parked.remove(&id).expect("collected above");
-                let w = p.unit.last_worker.unwrap_or(id as usize) % self.queues.len();
-                self.queues[w].lock().unwrap().push_back(p.unit);
-            }
-            self.notify();
+        if self.requeue_due(&mut parked, false) {
             return true;
         }
         if self.running.load(Ordering::SeqCst) != 0 {
@@ -1147,25 +1049,12 @@ impl Shared {
         if parked.len() != self.outstanding.load(Ordering::SeqCst) {
             return false;
         }
-        // The cluster is globally stalled. Parked units with pending
-        // checkpoint requests get one final boundary visit before
-        // wrap-up: nothing else can ever run, so the requests are marked
-        // final (deliver-or-fail at pickup, no re-file) and their units
-        // requeued. This terminates — the pickup consumes the requests,
-        // the unit re-parks, and the next stall has nothing pending.
-        let ckpt_due: Vec<u32> = parked
-            .iter()
-            .filter(|(_, p)| self.ctl.has_pending_ckpt(p.unit.id))
-            .map(|(id, _)| *id)
-            .collect();
-        if !ckpt_due.is_empty() {
-            for id in ckpt_due {
-                let p = parked.remove(&id).expect("collected above");
-                self.ctl.mark_ckpts_final(p.unit.id);
-                let w = p.unit.last_worker.unwrap_or(id as usize) % self.queues.len();
-                self.queues[w].lock().unwrap().push_back(p.unit);
-            }
-            self.notify();
+        // The cluster is globally stalled, so no parked unit will reach
+        // a pending event's vclock: every such event is due now, and its
+        // unit is requeued for one more pickup (kills land, captures
+        // settle without retry). This terminates — the pickup consumes
+        // the events, and the next stall has nothing pending.
+        if self.requeue_due(&mut parked, true) {
             return true;
         }
         // Wrap up, in UnitId order (BTreeMap iteration is already
@@ -1188,7 +1077,8 @@ impl Shared {
     }
 
     /// One worker: sweep wakeups → pop → deliver kills → drain mailbox →
-    /// run a slice → flush accounting → requeue / park / finish.
+    /// deliver captures → run a slice → flush accounting → requeue /
+    /// park / finish.
     ///
     /// With tracing on, the worker records scheduler events into a
     /// private [`WorkerTrace`] ring — no locks on the hot path — and
@@ -1242,9 +1132,15 @@ impl Shared {
                 wt.emit(kind, w, unit.id, unit.vm.vclock(), TRACE_NONE, unit.slices);
             }
 
-            // Cross-worker termination lands at the quantum boundary,
-            // before the next slice, on whatever core the unit is on.
-            for iso in self.ctl.take_for(unit.id, unit.slices) {
+            // Due events land at the quantum boundary, before the next
+            // slice, on whatever core the unit is on: kills now,
+            // captures after the mail drain.
+            let vclock = unit.vm.vclock();
+            let (due, next_at) = self.ctl.take_due(unit.id, vclock);
+            for e in &due {
+                let EventAction::Kill(iso) = e.action else {
+                    continue;
+                };
                 // Best-effort: Shared-mode units and unknown isolates
                 // simply ignore the request.
                 if let Some(wt) = wt.as_mut() {
@@ -1270,14 +1166,14 @@ impl Shared {
             // service pumps, replies wake their blocked callers.
             unit.vm.port_drain();
 
-            // Checkpoint requests due at this boundary cut their image
-            // here — after the mail drain, before the slice runs: the
-            // same point in the unit's deterministic slice sequence
-            // under every scheduler mode, which is what makes the image
-            // bit-identical across Deterministic and Parallel(n).
-            self.deliver_checkpoints(&unit);
+            self.deliver_captures(&unit, due, false);
 
-            let outcome = unit.vm.run(Some(self.slice));
+            // An event still ahead caps the slice. `Vm::run` checks the
+            // budget only between quanta, so the slice ends at the first
+            // quantum boundary at or past the event's vclock — never
+            // inside a thread's quantum, which would perturb the unit.
+            let budget = next_at.map_or(self.slice, |at| self.slice.min(at - vclock));
+            let outcome = unit.vm.run(Some(budget));
             // Quantum-boundary coalescing: replies buffered during the
             // slice post to the hub in one lock acquisition, and the
             // slice's served requests release their quota (waking any
@@ -1297,7 +1193,7 @@ impl Shared {
                     self.notify();
                 }
                 outcome => {
-                    if Self::keeps_unit_alive(&unit) {
+                    if unit.vm.port_keeps_unit_alive() {
                         // Park — unless mail arrived while the slice ran,
                         // in which case the unit goes straight back to
                         // work. The mailbox check and the park insert
@@ -1377,18 +1273,21 @@ impl Shared {
             .into_iter()
             .map(|(report, vm)| UnitOutcome { vm, report })
             .collect();
-        // Shutdown safety net: requests that never met their unit (a
+        // Shutdown safety net: captures that never met their unit (a
         // made-up unit id, or filed after the unit finished) settle
         // against the final VMs, or fail cleanly — no ticket is ever
-        // left unfulfilled by a completed run.
-        for req in self.ctl.take_all_ckpts() {
-            let result = match units.get(req.unit.index() as usize) {
+        // left unfulfilled by a completed run. Leftover kills are moot.
+        for e in self.ctl.take_all() {
+            let EventAction::Capture(ticket) = e.action else {
+                continue;
+            };
+            let result = match units.get(e.unit.index() as usize) {
                 Some(u) => u.vm.checkpoint(),
                 None => Err(CheckpointError::NotQuiescent(
                     "unit not found at cluster shutdown",
                 )),
             };
-            req.ticket.fulfill(result);
+            ticket.fulfill(result);
         }
 
         let steals = self.steals.load(Ordering::Relaxed);
@@ -1450,24 +1349,86 @@ mod tests {
         assert_eq!(SchedulerKind::Parallel(4).workers(), 4);
     }
 
+    /// A fresh unit that has run nothing yet.
+    fn mk(id: u32) -> Unit {
+        Unit {
+            id: UnitId(id),
+            vm: Vm::new(VmOptions::isolated()),
+            slices: 0,
+            last_worker: None,
+            migrations: 0,
+            cpu_seen: Vec::new(),
+        }
+    }
+
+    fn kills(due: Vec<UnitEvent>) -> Vec<IsolateId> {
+        due.into_iter()
+            .filter_map(|e| match e.action {
+                EventAction::Kill(iso) => Some(iso),
+                EventAction::Capture(_) => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn ctl_kill_requests_route_by_unit_and_slice() {
+    fn ctl_events_route_by_unit_and_vclock() {
         let ctl = ClusterCtl::default();
-        assert!(ctl.take_for(UnitId(0), 0).is_empty(), "idle ctl is free");
+        assert!(ctl.take_due(UnitId(0), 0).0.is_empty(), "idle ctl is free");
         ctl.terminate(UnitId(0), IsolateId(1));
         ctl.terminate(UnitId(1), IsolateId(2));
-        ctl.terminate(UnitId(0), IsolateId(3));
-        assert_eq!(ctl.take_for(UnitId(0), 0), vec![IsolateId(1), IsolateId(3)]);
-        assert_eq!(ctl.take_for(UnitId(1), 0), vec![IsolateId(2)]);
-        assert!(ctl.take_for(UnitId(1), 0).is_empty());
-        assert!(!ctl.inner.armed.load(Ordering::Acquire));
+        ctl.terminate_at(UnitId(0), IsolateId(3), 50);
+        let _ticket = ctl.checkpoint_at(UnitId(0), 80);
 
-        // Deferred kills stay pending until the slice threshold.
-        ctl.terminate_at(UnitId(2), IsolateId(1), 5);
-        assert!(ctl.take_for(UnitId(2), 4).is_empty());
-        assert!(ctl.has_pending(UnitId(2), 5));
-        assert_eq!(ctl.take_for(UnitId(2), 5), vec![IsolateId(1)]);
-        assert!(!ctl.has_pending(UnitId(2), 99));
+        // Due events are taken; the earliest one still ahead caps the
+        // unit's next slice.
+        let (due, next) = ctl.take_due(UnitId(0), 10);
+        assert_eq!(kills(due), vec![IsolateId(1)]);
+        assert_eq!(next, Some(50));
+        let (due, next) = ctl.take_due(UnitId(1), 0);
+        assert_eq!(kills(due), vec![IsolateId(2)]);
+        assert_eq!(next, None);
+        let (due, next) = ctl.take_due(UnitId(0), 60);
+        assert_eq!(kills(due), vec![IsolateId(3)]);
+        assert_eq!(next, Some(80));
+        assert!(ctl.inner.armed.load(Ordering::Acquire), "capture pending");
+        let (due, next) = ctl.take_due(UnitId(0), 80);
+        assert!(matches!(
+            due[..],
+            [UnitEvent {
+                action: EventAction::Capture(_),
+                at_vclock: 80,
+                ..
+            }]
+        ));
+        assert_eq!(next, None);
+        assert!(!ctl.inner.armed.load(Ordering::Acquire), "list empty");
+    }
+
+    /// A parked unit is requeued once an event is due at its vclock; at
+    /// stall, every one of its events is due whatever the vclock.
+    #[test]
+    fn ctl_stall_makes_parked_units_events_due() {
+        let ctl = ClusterCtl::default();
+        let outcome = RunOutcome::Idle;
+        let park = |id| {
+            (
+                id,
+                ParkedUnit {
+                    unit: mk(id),
+                    outcome,
+                },
+            )
+        };
+        let parked = BTreeMap::from([park(2), park(5)]);
+        ctl.terminate_at(UnitId(5), IsolateId(1), 100);
+        ctl.terminate_at(UnitId(2), IsolateId(1), 0);
+        ctl.terminate_at(UnitId(9), IsolateId(1), 0);
+        assert_eq!(ctl.due_parked(&parked, false), vec![2]);
+        assert_eq!(kills(ctl.take_due(UnitId(2), 0).0), vec![IsolateId(1)]);
+        assert!(ctl.due_parked(&parked, false).is_empty(), "vclock 0 < 100");
+        assert_eq!(ctl.due_parked(&parked, true), vec![5]);
+        assert_eq!(kills(ctl.take_due(UnitId(5), 0).0), vec![IsolateId(1)]);
+        assert_eq!(ctl.take_all().len(), 1, "unit 9 is not parked");
     }
 
     /// The steal path takes from the *back* of a victim queue while the
@@ -1475,14 +1436,6 @@ mod tests {
     /// unit unless it is the last one.
     #[test]
     fn steal_takes_from_victim_back() {
-        let mk = |id: u32| Unit {
-            id: UnitId(id),
-            vm: Vm::new(VmOptions::isolated()),
-            slices: 0,
-            last_worker: None,
-            migrations: 0,
-            cpu_seen: Vec::new(),
-        };
         let shared = Shared::new(
             2,
             100,

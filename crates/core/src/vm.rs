@@ -359,8 +359,8 @@ impl Vm {
     /// in-flight cross-unit traffic (always true for a VM the embedder
     /// holds directly, outside a cluster). For a unit running under a
     /// cluster scheduler use
-    /// [`crate::sched::UnitHandle::checkpoint_at`], which quiesces the
-    /// unit at a slice boundary first.
+    /// [`crate::sched::UnitHandle::checkpoint_at`], which cuts the
+    /// image at a quantum boundary between slices.
     pub fn checkpoint(
         &self,
     ) -> std::result::Result<crate::checkpoint::UnitImage, crate::checkpoint::CheckpointError> {
@@ -1368,29 +1368,6 @@ impl Vm {
         Ok(&self.isolate(iso)?.stats)
     }
 
-    /// Snapshot of every isolate's counters, for administrators.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Vm::metrics().isolates` — the unified reporting surface"
-    )]
-    pub fn snapshots(&self) -> Vec<IsolateSnapshot> {
-        self.isolate_rows()
-    }
-
-    /// Builds the per-isolate accounting rows (shared by the deprecated
-    /// [`Vm::snapshots`] and [`Vm::metrics`]).
-    fn isolate_rows(&self) -> Vec<IsolateSnapshot> {
-        self.isolates
-            .iter()
-            .map(|i| IsolateSnapshot {
-                isolate: i.id,
-                name: i.name.clone(),
-                state: i.state,
-                stats: i.stats.clone(),
-            })
-            .collect()
-    }
-
     /// The unified metrics snapshot: always-on counters (vclock,
     /// migrations, GC epochs) and the per-isolate accounting rows, plus —
     /// when the flight recorder is on ([`VmOptions::trace`]) — the
@@ -1401,7 +1378,16 @@ impl Vm {
             vclock: self.vclock,
             isolate_switches: self.migrations,
             gc_epochs: self.gc_count,
-            isolates: self.isolate_rows(),
+            isolates: self
+                .isolates
+                .iter()
+                .map(|i| IsolateSnapshot {
+                    isolate: i.id,
+                    name: i.name.clone(),
+                    state: i.state,
+                    stats: i.stats.clone(),
+                })
+                .collect(),
             ..Default::default()
         };
         if let Some(ts) = &self.trace {

@@ -168,13 +168,19 @@ fn compute_unit() -> UnitSpec {
 
 const QUANTUM: u32 = 200;
 const SLICE: u64 = 400;
+/// Where the compute unit is checkpointed and killed. It is compute-only,
+/// so its quantum boundaries, and the first one at or past each of
+/// these vclocks, are the same under every schedule. Neither lies on a
+/// slice boundary, so the slice cap is exercised too.
+const CUT_VCLOCK: u64 = 1_000;
+const KILL_VCLOCK: u64 = 1_500;
 
-/// Runs `spec` alone under `kind`; optionally checkpoints at
-/// `after_slices`; returns (observed, image-if-requested).
+/// Runs `spec` alone under `kind`; optionally checkpoints at the given
+/// vclock; returns (observed, image-if-requested).
 fn run_single(
     spec: &UnitSpec,
     kind: SchedulerKind,
-    checkpoint_after: Option<u64>,
+    checkpoint_at: Option<u64>,
 ) -> (Vec<Observed>, Option<UnitImage>) {
     let mut cluster = Cluster::builder()
         .scheduler(kind)
@@ -183,7 +189,7 @@ fn run_single(
         .build();
     let (vm, tids) = build_vm(spec, QUANTUM);
     let handle = cluster.submit(vm);
-    let ticket = checkpoint_after.map(|n| handle.checkpoint_at(n));
+    let ticket = checkpoint_at.map(|v| handle.checkpoint_at(v));
     let mut outcome = cluster.run();
     let observed = observe(&mut outcome, &[tids]);
     let image = ticket.map(|t| {
@@ -240,7 +246,7 @@ fn mid_run_checkpoint_restore_is_bit_identical_across_modes() {
         assert_eq!(baseline, plain, "{kind:?} diverged uninterrupted");
 
         // Checkpointing mid-run does not perturb the donor.
-        let (with_ckpt, image) = run_single(&spec, kind, Some(3));
+        let (with_ckpt, image) = run_single(&spec, kind, Some(CUT_VCLOCK));
         assert_eq!(baseline, with_ckpt, "{kind:?} perturbed by checkpoint");
 
         // The image bytes are identical in every scheduler mode.
@@ -264,10 +270,21 @@ fn mid_run_checkpoint_restore_is_bit_identical_across_modes() {
             );
         }
     }
+
+    // The slice cap cut the image at the first quantum boundary at or
+    // past its vclock, not at the end of the slice around it.
+    let natives = ijvm_jsl::install_natives;
+    let restored =
+        ijvm_core::checkpoint::restore(&oracle_image.unwrap(), lane_options(QUANTUM), natives);
+    let cut = restored.expect("image restores").vclock();
+    assert!(
+        (CUT_VCLOCK..CUT_VCLOCK + QUANTUM as u64).contains(&cut),
+        "cut at {cut}"
+    );
 }
 
 /// A checkpoint filed past the unit's lifetime settles at unit
-/// completion with the final image ("at slice N or completion,
+/// completion with the final image ("at vclock V or completion,
 /// whichever comes first"); restoring it yields an already-finished
 /// unit with the full observable history intact.
 #[test]
@@ -348,8 +365,8 @@ fn restored_server_re_exports_service_under_original_name() {
         let (client_vm, _) = build_vm(&client, QUANTUM);
         let server_handle = cluster.submit(server_vm);
         cluster.submit(client_vm);
-        // Huge slice bound: the ticket settles when the cluster stalls,
-        // i.e. after all in-flight calls drained.
+        // A vclock the server never reaches: the ticket settles when the
+        // cluster stalls, i.e. after all in-flight calls drained.
         let ticket = server_handle.checkpoint_at(u64::MAX);
         cluster.run();
         let image = ticket.wait().expect("drained server is quiescent");
@@ -552,7 +569,7 @@ fn cross_engine_restore_requickens_lazily() {
         .build();
     let (vm, _) = build_vm_with(&spec, raw.clone());
     let handle = cluster.submit(vm);
-    let ticket = handle.checkpoint_at(3);
+    let ticket = handle.checkpoint_at(CUT_VCLOCK);
     let mut outcome = cluster.run();
     let baseline = observe(&mut outcome, std::slice::from_ref(&tids));
     let image = ticket.wait().expect("compute unit quiescent at boundary");
@@ -577,11 +594,10 @@ fn cross_engine_restore_requickens_lazily() {
 /// Restore-then-terminate: a restored unit is a first-class citizen of
 /// isolate termination. Killing its workload isolate stops its threads
 /// and reclaims its heap exactly as it would in a never-checkpointed
-/// unit killed at the same execution point — the restored unit's slice
-/// counter restarts at zero, so a baseline kill at slice 4 and a
-/// restored-from-slice-3 kill at slice 1 land on the identical quantum
-/// boundary and must observe bit-identical aftermath, live-heap stats
-/// included.
+/// unit killed at the same execution point — the vclock travels in the
+/// image, so the same kill vclock lands on the identical quantum
+/// boundary in both and must observe bit-identical aftermath, live-heap
+/// stats included.
 #[test]
 fn restore_then_terminate_reclaims_everything() {
     if isolation_lane() == IsolationMode::Shared {
@@ -590,7 +606,7 @@ fn restore_then_terminate_reclaims_everything() {
     let spec = compute_unit();
     let (_, tids) = build_vm(&spec, QUANTUM);
 
-    // Baseline: plain unit, killed at its 4th slice boundary.
+    // Baseline: plain unit, killed mid-run.
     let mut cluster = Cluster::builder()
         .scheduler(SchedulerKind::Deterministic)
         .slice(SLICE)
@@ -598,7 +614,7 @@ fn restore_then_terminate_reclaims_everything() {
         .build();
     let (vm, _) = build_vm(&spec, QUANTUM);
     let handle = cluster.submit(vm);
-    handle.terminate_at(IsolateId(0), 4);
+    handle.terminate_at(IsolateId(0), KILL_VCLOCK);
     let mut outcome = cluster.run();
     let baseline = observe(&mut outcome, std::slice::from_ref(&tids));
     let baseline_live = {
@@ -606,11 +622,11 @@ fn restore_then_terminate_reclaims_everything() {
         (snaps[0].stats.live_objects, snaps[0].stats.live_bytes)
     };
 
-    // Donor: same workload, checkpointed at slice 3, left unkilled.
-    let (_, image) = run_single(&spec, SchedulerKind::Deterministic, Some(3));
+    // Donor: same workload, checkpointed earlier, left unkilled.
+    let (_, image) = run_single(&spec, SchedulerKind::Deterministic, Some(CUT_VCLOCK));
     let image = image.unwrap();
 
-    // Restored: resumed from the slice-3 image, killed one slice in —
+    // Restored: resumed from the image and killed at the same vclock —
     // the same absolute execution point as the baseline kill.
     let mut cluster = Cluster::builder()
         .scheduler(SchedulerKind::Deterministic)
@@ -620,7 +636,7 @@ fn restore_then_terminate_reclaims_everything() {
     let handle = cluster
         .submit_image(&image, ijvm_jsl::install_natives)
         .expect("image restores");
-    handle.terminate_at(IsolateId(0), 1);
+    handle.terminate_at(IsolateId(0), KILL_VCLOCK);
     let mut outcome = cluster.run();
     let observed = observe(&mut outcome, std::slice::from_ref(&tids));
     assert_eq!(

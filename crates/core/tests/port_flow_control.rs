@@ -117,8 +117,8 @@ fn run_scenario(
         handles.push(cluster.submit(vm));
         tids.push(unit_tids);
     }
-    for &(u, iso, min_slices) in kills {
-        handles[u].terminate_at(iso, min_slices);
+    for &(u, iso, at_vclock) in kills {
+        handles[u].terminate_at(iso, at_vclock);
     }
     let mut outcome = cluster.run();
     assert_eq!(outcome.units.len(), specs.len(), "every unit must finish");
@@ -447,11 +447,21 @@ fn quota_parked_sender_terminated_across_modes() {
         return; // no isolate termination in the shared lane
     }
     let specs = vec![oneway_flooder(64), blocked_sink()];
-    // Deliver the kill to the flooder's isolate once it has run 2
-    // slices — by then it is quota-parked at the deterministic fixpoint
-    // in every mode.
-    let kills = [(0usize, IsolateId(0), 2u64)];
-    let (oracle, _) = assert_modes_agree(&specs, 2_000, 4_000, Some((4, 1 << 20)), &kills);
+    // Aim the kill at the vclock where the flooder quota-parks for good,
+    // measured from a kill-free oracle run. It reaches that vclock only
+    // at the parked fixpoint, which is the same in every mode.
+    let quota = Some((4, 1 << 20));
+    let (settled, _) = run_scenario(
+        &specs,
+        SchedulerKind::Deterministic,
+        2_000,
+        4_000,
+        quota,
+        false,
+        &[],
+    );
+    let kills = [(0usize, IsolateId(0), settled[0].vclock)];
+    let (oracle, _) = assert_modes_agree(&specs, 2_000, 4_000, quota, &kills);
     assert!(
         oracle[0].results[0].is_err(),
         "the flooder thread died with its isolate: {:?}",

@@ -100,7 +100,7 @@ struct Observed {
 }
 
 /// Runs a scenario under `kind`, optionally filing deterministic
-/// mid-run kills (`(unit index, isolate, min slices)`), and observes
+/// mid-run kills (`(unit index, isolate, unit vclock)`), and observes
 /// every unit.
 fn run_scenario(
     specs: &[UnitSpec],
@@ -117,8 +117,8 @@ fn run_scenario(
         handles.push(cluster.submit(vm));
         tids.push(unit_tids);
     }
-    for &(u, iso, min_slices) in kills {
-        handles[u].terminate_at(iso, min_slices);
+    for &(u, iso, at_vclock) in kills {
+        handles[u].terminate_at(iso, at_vclock);
     }
     let mut outcome = cluster.run();
     assert_eq!(outcome.units.len(), specs.len(), "every unit must finish");
@@ -434,8 +434,8 @@ fn three_unit_pipeline_matches_across_modes() {
 }
 
 /// Deterministic mid-call termination: the serving isolate is killed —
-/// via the slice-count-addressed `terminate_at`, the *same* execution
-/// point in every scheduler mode — while its handler spins. The caller
+/// via the vclock-addressed `terminate_at`, the *same* execution point
+/// in every scheduler mode — while its handler spins. The caller
 /// fails with `ServiceRevokedException`, both sides' exact CPU matches
 /// the aggregate, and the whole observation set is bit-identical across
 /// modes. Skipped in the shared-isolation lane (no termination there).
@@ -478,9 +478,12 @@ fn mid_call_termination_revokes_with_exact_cpu() {
         method: "drive",
         thread_args: vec![5],
     };
-    // The server's workload isolate is its first one; kill it once the
-    // handler has spun for at least two full slices.
-    let kills = [(0usize, IsolateId(0), 3u64)];
+    // The server's workload isolate is its first one. Its export takes
+    // about a dozen instructions; past that, its vclock advances only in
+    // the handler, which is compute-only once its request lands, so a
+    // kill aimed at 1800 lands on the same quantum boundary in every
+    // mode, after the handler has spun for at least two full slices.
+    let kills = [(0usize, IsolateId(0), 1_800u64)];
     let oracle = assert_modes_agree(&[server, client], 300, 600, &kills);
 
     let server_obs = &oracle[0];
@@ -545,10 +548,20 @@ fn revoked_service_fails_pending_and_future_calls() {
         method: "drive",
         thread_args: vec![5],
     };
-    // Kill the server's isolate after its first slice (the export): the
-    // client's first call is already in (or on its way to) the mailbox
-    // and is failed there; its second call fails fast at the hub.
-    let kills = [(0usize, IsolateId(0), 1u64)];
+    // Kill the server's isolate at the vclock it reaches right after its
+    // export, where it sits blocked until mail arrives — measured by
+    // running the server alone. The client's first call is already in
+    // (or on its way to) the mailbox and is failed there; its second
+    // call fails fast at the hub.
+    let exported = run_scenario(
+        std::slice::from_ref(&server),
+        SchedulerKind::Deterministic,
+        300,
+        600,
+        &[],
+    )[0]
+    .vclock;
+    let kills = [(0usize, IsolateId(0), exported)];
     let oracle = assert_modes_agree(&[server, client], 300, 600, &kills);
     assert_eq!(oracle[1].results[0], Ok(Some("3005".to_owned())));
     assert_eq!(

@@ -145,8 +145,8 @@ fn run_scenario(
         handles.push(cluster.submit(vm));
         tids.push(unit_tids);
     }
-    for &(u, iso, min_slices) in kills {
-        handles[u].terminate_at(iso, min_slices);
+    for &(u, iso, at_vclock) in kills {
+        handles[u].terminate_at(iso, at_vclock);
     }
     let mut outcome = cluster.run();
     assert_eq!(outcome.units.len(), specs.len(), "every unit must finish");
@@ -411,9 +411,10 @@ fn pair_server(pair: usize) -> UnitSpec {
 /// The revocation storm: 128 saturated client/server pairs converge to
 /// their blocked fixpoint (client parked inside a `stall` call, server
 /// pump parked on a service nobody exports), then 64 server isolates
-/// are terminated at once. Every revocation must fail its client's
-/// in-flight call back deterministically; the untouched pairs must
-/// stay at their fixpoint — bit-identically in every scheduler mode.
+/// are terminated at once, and one more at cluster stall. Every
+/// revocation must fail its client's in-flight call back
+/// deterministically; the untouched pairs must stay at their fixpoint —
+/// bit-identically in every scheduler mode.
 #[test]
 fn revocation_storm_during_saturation_across_modes() {
     if isolation_lane() == IsolationMode::Shared {
@@ -426,30 +427,34 @@ fn revocation_storm_during_saturation_across_modes() {
         specs.push(pair_server(p));
         specs.push(pair_client(p, flood));
     }
-    // A kill is only deliverable once the unit has run `min_slices`
-    // slices, and a converged (forever-parked) server stops slicing —
-    // so aim each kill at the server's *exact* converged slice count,
-    // measured from a kill-free oracle run. Delivery then lands at the
-    // pair's blocked fixpoint in every mode: the count is reached only
-    // on the server's final slice, after which the pair is frozen.
-    let (_, _, _, slices) = run_scenario(
-        &specs,
+    // Every server converges to the same vclock: the pairs differ only
+    // in a service name, and each server's mailbox has one producer. A
+    // server reaches that vclock only at its blocked fixpoint, so a kill
+    // aimed there lands at the fixpoint in every mode. One pair run
+    // alone measures it.
+    let quota = Some((2, 1 << 20));
+    let (pair, _, _, _) = run_scenario(
+        &specs[..2],
         SchedulerKind::Deterministic,
         2_000,
         4_000,
-        Some((2, 1 << 20)),
+        quota,
         false,
         &[],
     );
-    // Kill every even pair's server (unit index 2 * p).
-    let kills: Vec<(usize, IsolateId, u64)> = (0..pairs)
+    let converged = pair[0].vclock;
+    // Kill every even pair's server (unit index 2 * p) there. Pair 1's
+    // server is killed one instruction past it, a point it never
+    // reaches: that kill lands at cluster stall instead.
+    let mut kills: Vec<(usize, IsolateId, u64)> = (0..pairs)
         .step_by(2)
-        .map(|p| (2 * p, IsolateId(0), slices[2 * p]))
+        .map(|p| (2 * p, IsolateId(0), converged))
         .collect();
-    let (oracle, metrics) = assert_modes_agree(&specs, 2_000, 4_000, Some((2, 1 << 20)), &kills);
+    kills.push((2, IsolateId(0), converged + 1));
+    let (oracle, metrics) = assert_modes_agree(&specs, 2_000, 4_000, quota, &kills);
     for p in 0..pairs {
         let client = &oracle[2 * p + 1];
-        if p % 2 == 0 {
+        if p % 2 == 0 || p == 1 {
             assert!(
                 client.results[0].is_err(),
                 "pair {p}: the revocation failed the client's in-flight \
@@ -462,8 +467,19 @@ fn revocation_storm_during_saturation_across_modes() {
                 RunOutcome::Blocked,
                 "pair {p}: untouched pair stays at its blocked fixpoint"
             );
+            assert_eq!(
+                oracle[2 * p].vclock,
+                converged,
+                "pair {p}: server converged where the lone pair's did"
+            );
         }
     }
+    let at_kill = |u: usize| (oracle[u].vclock, &oracle[u].cpu_exact);
+    assert_eq!(
+        (at_kill(2), at_kill(3)),
+        (at_kill(0), at_kill(1)),
+        "the stall kill stops pair 1 where the fixpoint kill stops pair 0"
+    );
     assert!(
         metrics.totals.quota_parks > 0,
         "the floods saturated the 2-message quota before the storm"
