@@ -1,7 +1,7 @@
 //! Criterion bench for **Figure 1**: each micro-benchmark under both VM
 //! configurations; the ratio between the paired entries is the figure's
-//! y-axis. A second group compares the raw, quickened and threaded
-//! execution engines on identical bytecode (the dispatch ablation).
+//! y-axis. A second group compares the raw and threaded execution
+//! engines on identical bytecode (the dispatch ablation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ijvm_bench::engine::{run_arith_field, run_deep_call};
@@ -34,11 +34,7 @@ fn bench_engines(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
     let iterations = 50_000;
-    for (label, engine) in [
-        ("raw", EngineKind::Raw),
-        ("quickened", EngineKind::Quickened),
-        ("threaded", EngineKind::Threaded),
-    ] {
+    for (label, engine) in [("raw", EngineKind::Raw), ("threaded", EngineKind::Threaded)] {
         group.bench_function(format!("arith+field loop/{label}"), |b| {
             b.iter(|| std::hint::black_box(run_arith_field(engine, iterations)))
         });

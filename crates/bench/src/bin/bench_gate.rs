@@ -1,15 +1,14 @@
 //! The bench-regression gate: compares a fresh `engine_bench` run against
 //! the committed `BENCH_engine.json` floors and fails (exit 1) when any
-//! baseline row's speedup ratio regressed beyond the tolerance. Usage:
+//! baseline row's `threaded_speedup` ratio (threaded vs raw) regressed
+//! beyond the tolerance. Usage:
 //!
 //! ```text
 //! bench_gate <baseline.json> <fresh.json> [tolerance]
 //! ```
 //!
-//! Each row carries up to two gated metrics: `speedup` (quickened vs
-//! raw) and `threaded_speedup` (threaded vs raw); a metric present in
-//! the baseline must hold its floor in the fresh run. `tolerance` is the
-//! allowed relative slack below a baseline ratio and defaults to
+//! Every baseline row must hold its floor in the fresh run. `tolerance`
+//! is the allowed relative slack below a baseline ratio and defaults to
 //! [`ijvm_bench::GATE_TOLERANCE`] (−10%) — one constant shared with the
 //! CI workflow and the docs so they cannot drift. Rows present only in
 //! the fresh file (newly added benchmarks) are reported but never gate;
@@ -24,8 +23,7 @@ use std::process::ExitCode;
 #[derive(Debug, Clone)]
 struct Row {
     name: String,
-    speedup: f64,
-    threaded_speedup: Option<f64>,
+    threaded_speedup: f64,
 }
 
 /// Extracts the string value of `"key": "..."` from a JSON row line.
@@ -52,12 +50,11 @@ fn num_field(line: &str, key: &str) -> Option<f64> {
 
 fn parse_rows(json: &str) -> Vec<Row> {
     json.lines()
-        .filter(|l| l.contains("\"name\"") && l.contains("\"speedup\""))
+        .filter(|l| l.contains("\"name\"") && l.contains("\"threaded_speedup\""))
         .filter_map(|l| {
             Some(Row {
                 name: str_field(l, "name")?,
-                speedup: num_field(l, "speedup")?,
-                threaded_speedup: num_field(l, "threaded_speedup"),
+                threaded_speedup: num_field(l, "threaded_speedup")?,
             })
         })
         .collect()
@@ -73,40 +70,19 @@ fn doc_num(json: &str, key: &str) -> Option<f64> {
     json.lines().find_map(|l| num_field(l, key))
 }
 
-/// Renders one row's full ratio set, for the offending-row summary.
-fn describe_row(r: &Row) -> String {
-    match r.threaded_speedup {
-        Some(t) => format!("speedup {:.4}x, threaded_speedup {t:.4}x", r.speedup),
-        None => format!("speedup {:.4}x", r.speedup),
-    }
-}
-
-/// Gates one metric of one row. Returns `true` on failure.
-fn gate_metric(
-    name: &str,
-    metric: &str,
-    baseline: f64,
-    fresh: Option<f64>,
-    tolerance: f64,
-) -> bool {
+/// Gates one row's `threaded_speedup`. Returns `true` on failure.
+fn gate_row(name: &str, baseline: f64, fresh: f64, tolerance: f64) -> bool {
     let floor = baseline * (1.0 - tolerance);
-    match fresh {
-        Some(f) if f >= floor => {
-            println!(
-                "  ok   {name:<22} {metric:<17} {f:.4}x (floor {floor:.4}x, baseline {baseline:.4}x)"
-            );
-            false
-        }
-        Some(f) => {
-            println!(
-                "  FAIL {name:<22} {metric:<17} {f:.4}x below floor {floor:.4}x (baseline {baseline:.4}x)"
-            );
-            true
-        }
-        None => {
-            println!("  FAIL {name:<22} {metric:<17} missing from the fresh run");
-            true
-        }
+    if fresh >= floor {
+        println!(
+            "  ok   {name:<22} threaded_speedup  {fresh:.4}x (floor {floor:.4}x, baseline {baseline:.4}x)"
+        );
+        false
+    } else {
+        println!(
+            "  FAIL {name:<22} threaded_speedup  {fresh:.4}x below floor {floor:.4}x (baseline {baseline:.4}x)"
+        );
+        true
     }
 }
 
@@ -136,30 +112,17 @@ fn main() -> ExitCode {
         tolerance * 100.0
     );
     let mut failures = 0u32;
-    // Offending rows, re-listed at the end with *both* ratios so a CI
-    // log tail alone attributes the regression.
+    // Offending rows, re-listed at the end with the fresh and baseline
+    // ratios so a CI log tail alone attributes the regression.
     let mut offenders: Vec<String> = Vec::new();
     for b in &baseline {
         match fresh.iter().find(|f| f.name == b.name) {
             Some(f) => {
-                let mut row_failed =
-                    gate_metric(&b.name, "speedup", b.speedup, Some(f.speedup), tolerance);
-                if let Some(bt) = b.threaded_speedup {
-                    row_failed |= gate_metric(
-                        &b.name,
-                        "threaded_speedup",
-                        bt,
-                        f.threaded_speedup,
-                        tolerance,
-                    );
-                }
-                if row_failed {
+                if gate_row(&b.name, b.threaded_speedup, f.threaded_speedup, tolerance) {
                     failures += 1;
                     offenders.push(format!(
-                        "{}: fresh {} | baseline {}",
-                        b.name,
-                        describe_row(f),
-                        describe_row(b)
+                        "{}: fresh threaded_speedup {:.4}x | baseline {:.4}x",
+                        b.name, f.threaded_speedup, b.threaded_speedup
                     ));
                 }
             }
@@ -174,7 +137,7 @@ fn main() -> ExitCode {
         if !baseline.iter().any(|b| b.name == f.name) {
             println!(
                 "  new  {:<22} {:.4}x (not gated; add to the baseline)",
-                f.name, f.speedup
+                f.name, f.threaded_speedup
             );
         }
     }
@@ -383,20 +346,21 @@ mod tests {
 
     const SAMPLE: &str = r#"{
   "rows": [
-    {"name": "intra-isolate call", "raw_ns": 10, "quickened_ns": 8, "threaded_ns": 7, "speedup": 1.2500, "threaded_speedup": 1.4286, "guest_insns": 42},
-    {"name": "static access", "raw_ns": 10, "quickened_ns": 6, "speedup": 1.6667, "guest_insns": 42}
+    {"name": "intra-isolate call", "raw_ns": 10, "threaded_ns": 7, "threaded_speedup": 1.4286, "guest_insns": 42},
+    {"name": "static access", "raw_ns": 10, "threaded_ns": 5, "speedup": 1.6667, "threaded_speedup": 2.0000, "guest_insns": 42}
   ]
 }"#;
 
+    /// Rows parse whatever other keys they carry; only
+    /// `threaded_speedup` is read.
     #[test]
     fn parses_rows() {
         let rows = parse_rows(SAMPLE);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "intra-isolate call");
-        assert!((rows[0].speedup - 1.25).abs() < 1e-9);
-        assert!((rows[0].threaded_speedup.unwrap() - 1.4286).abs() < 1e-9);
-        assert!((rows[1].speedup - 1.6667).abs() < 1e-9);
-        assert_eq!(rows[1].threaded_speedup, None);
+        assert!((rows[0].threaded_speedup - 1.4286).abs() < 1e-9);
+        assert_eq!(rows[1].name, "static access");
+        assert!((rows[1].threaded_speedup - 2.0).abs() < 1e-9);
     }
 
     /// The flat `"parallel"` section keys parse from anywhere in the
@@ -405,7 +369,7 @@ mod tests {
     fn parallel_section_keys_parse() {
         let doc = r#"{
   "rows": [
-    {"name": "x", "speedup": 1.5, "guest_insns": 2}
+    {"name": "x", "threaded_speedup": 1.5, "guest_insns": 2}
   ],
   "parallel": {
     "host_cpus": 4,

@@ -1,6 +1,5 @@
-//! A/B/C comparison of the execution engines: the raw byte interpreter
-//! vs the quickened match dispatch vs the direct-threaded handler
-//! dispatch, on identical bytecode and VM configuration. Writes the rows
+//! A/B comparison of the execution engines: the raw byte interpreter
+//! vs the direct-threaded handler dispatch, on identical bytecode and VM configuration. Writes the rows
 //! as JSON (default `BENCH_engine.json`; pass a path as the first
 //! argument, as the CI bench gate does to keep the committed baseline
 //! intact).
@@ -22,7 +21,7 @@ fn main() {
     let iterations = 200_000;
     let runs = 5;
     println!(
-        "Execution engine comparison — raw vs quickened vs threaded ({iterations} iterations, best of {runs})"
+        "Execution engine comparison — raw vs threaded ({iterations} iterations, best of {runs})"
     );
     let rows = engine_comparison(iterations, runs);
     print_engine_table(&rows);

@@ -1,27 +1,24 @@
-//! Execution-engine comparison: raw vs quickened vs threaded.
+//! Execution-engine comparison: raw vs threaded.
 //!
 //! Runs the Figure 1 micro-benchmarks (plus a field-access loop and a
 //! deep call chain) on the same VM configuration with only [`EngineKind`]
-//! varied, so the measured deltas isolate exactly the dispatch cost each
-//! engine removes: the quickened engine drops per-instruction opcode
-//! table lookups, operand re-reads, branch-offset arithmetic and
-//! constant-pool indirections; the threaded engine additionally drops the
-//! opcode `match` itself (an indirect handler call per instruction).
+//! varied, so the measured delta isolates exactly the dispatch cost the
+//! threaded engine removes: per-instruction opcode table lookups, operand
+//! re-reads, branch-offset arithmetic, constant-pool indirections and
+//! the opcode `match` itself (an indirect handler call per instruction).
 
 use crate::micro::{run_once_with, Micro};
 use ijvm_core::engine::EngineKind;
 use ijvm_core::vm::VmOptions;
 use std::time::Duration;
 
-/// One benchmark measured under all three engines.
+/// One benchmark measured under both engines.
 #[derive(Debug, Clone)]
 pub struct EngineRow {
     /// Benchmark name.
     pub name: &'static str,
     /// Wall time under [`EngineKind::Raw`].
     pub raw: Duration,
-    /// Wall time under [`EngineKind::Quickened`].
-    pub quickened: Duration,
     /// Wall time under [`EngineKind::Threaded`].
     pub threaded: Duration,
     /// Guest instructions executed (identical under all engines).
@@ -29,13 +26,8 @@ pub struct EngineRow {
 }
 
 impl EngineRow {
-    /// How many times faster the quickened engine runs than raw (>1 is
+    /// How many times faster the threaded engine runs than raw (>1 is
     /// faster).
-    pub fn speedup(&self) -> f64 {
-        self.raw.as_secs_f64() / self.quickened.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// How many times faster the threaded engine runs than raw.
     pub fn threaded_speedup(&self) -> f64 {
         self.raw.as_secs_f64() / self.threaded.as_secs_f64().max(f64::MIN_POSITIVE)
     }
@@ -47,16 +39,16 @@ impl EngineRow {
 pub const ENGINE_MICROS: [Micro; 4] = Micro::ALL;
 
 /// The engines compared, in row-field order.
-const ENGINES: [EngineKind; 3] = [EngineKind::Raw, EngineKind::Quickened, EngineKind::Threaded];
+const ENGINES: [EngineKind; 2] = [EngineKind::Raw, EngineKind::Threaded];
 
 /// Measures one micro under all engines, alternating `runs` rounds and
 /// keeping the fastest time per engine (minimum is robust against
 /// scheduler and frequency noise).
 pub fn compare_engines(micro: Micro, iterations: i32, runs: u32) -> EngineRow {
-    let mut best = [Duration::MAX; 3];
+    let mut best = [Duration::MAX; 2];
     let mut insns = 0;
     for _ in 0..runs.max(1) {
-        let mut seen = [0u64; 3];
+        let mut seen = [0u64; 2];
         for (i, &engine) in ENGINES.iter().enumerate() {
             let (d, n) =
                 run_once_with(micro, VmOptions::isolated().with_engine(engine), iterations);
@@ -72,8 +64,7 @@ pub fn compare_engines(micro: Micro, iterations: i32, runs: u32) -> EngineRow {
     EngineRow {
         name: micro.name(),
         raw: best[0],
-        quickened: best[1],
-        threaded: best[2],
+        threaded: best[1],
         insns,
     }
 }
@@ -182,10 +173,10 @@ fn compare_spin_class(
     iterations: i32,
     runs: u32,
 ) -> EngineRow {
-    let mut best = [Duration::MAX; 3];
+    let mut best = [Duration::MAX; 2];
     let mut insns = 0;
     for _ in 0..runs.max(1) {
-        let mut seen = [0u64; 3];
+        let mut seen = [0u64; 2];
         for (i, &engine) in ENGINES.iter().enumerate() {
             let (d, n) = run_spin_class(src, entry, engine, iterations);
             best[i] = best[i].min(d);
@@ -200,8 +191,7 @@ fn compare_spin_class(
     EngineRow {
         name,
         raw: best[0],
-        quickened: best[1],
-        threaded: best[2],
+        threaded: best[1],
         insns,
     }
 }
@@ -245,19 +235,17 @@ pub fn engine_comparison(iterations: i32, runs: u32) -> Vec<EngineRow> {
 
 /// Pretty-prints the comparison.
 pub fn print_engine_table(rows: &[EngineRow]) {
-    println!("\n== Execution engine: raw vs quickened vs threaded (Isolated mode) ==");
+    println!("\n== Execution engine: raw vs threaded (Isolated mode) ==");
     println!(
-        "{:<22} {:>12} {:>12} {:>12} {:>8} {:>8} {:>14}",
-        "benchmark", "raw", "quickened", "threaded", "q-spd", "t-spd", "guest insns"
+        "{:<22} {:>12} {:>12} {:>8} {:>14}",
+        "benchmark", "raw", "threaded", "t-spd", "guest insns"
     );
     for r in rows {
         println!(
-            "{:<22} {:>12} {:>12} {:>12} {:>7.2}x {:>7.2}x {:>14}",
+            "{:<22} {:>12} {:>12} {:>7.2}x {:>14}",
             r.name,
             format!("{:.3?}", r.raw),
-            format!("{:.3?}", r.quickened),
             format!("{:.3?}", r.threaded),
-            r.speedup(),
             r.threaded_speedup(),
             r.insns,
         );
@@ -265,10 +253,9 @@ pub fn print_engine_table(rows: &[EngineRow]) {
 }
 
 /// Serializes the rows as the `BENCH_engine.json` document (hand-rolled:
-/// the workspace builds offline, without serde). Each row carries both
-/// the quickened-vs-raw (`speedup`) and threaded-vs-raw
-/// (`threaded_speedup`) ratios; the CI bench gate enforces floors on
-/// both. When supplied, the parallel-scheduler scalability report and
+/// the workspace builds offline, without serde). Each row carries the
+/// threaded-vs-raw ratio (`threaded_speedup`), on which the CI bench
+/// gate enforces a floor. When supplied, the parallel-scheduler scalability report and
 /// the cross-unit call-cost report are appended as the `"parallel"` and
 /// `"cross_unit"` sections the gate also reads, and the flight-recorder
 /// overhead report as the `"trace"` section (trace-on vs trace-off
@@ -289,18 +276,16 @@ pub fn to_json(
     checkpoint: Option<&crate::checkpoint::CheckpointReport>,
 ) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"engine_raw_vs_quickened_vs_threaded\",\n");
+    out.push_str("  \"bench\": \"engine_raw_vs_threaded\",\n");
     out.push_str("  \"mode\": \"Isolated\",\n");
     out.push_str(&format!("  \"iterations\": {iterations},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"raw_ns\": {}, \"quickened_ns\": {}, \"threaded_ns\": {}, \"speedup\": {:.4}, \"threaded_speedup\": {:.4}, \"guest_insns\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"raw_ns\": {}, \"threaded_ns\": {}, \"threaded_speedup\": {:.4}, \"guest_insns\": {}}}{}\n",
             r.name,
             r.raw.as_nanos(),
-            r.quickened.as_nanos(),
             r.threaded.as_nanos(),
-            r.speedup(),
             r.threaded_speedup(),
             r.insns,
             if i + 1 < rows.len() { "," } else { "" },

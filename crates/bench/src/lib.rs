@@ -38,7 +38,7 @@ use std::time::Duration;
 /// defaults to it and the CI workflow passes no override, so the
 /// committed docs (ROADMAP.md, ARCHITECTURE.md) and the enforced gate
 /// can never drift again. Gating on the speedup *ratio* (not wall time)
-/// already cancels most runner-speed variance, because all engines run
+/// already cancels most runner-speed variance, because both engines run
 /// back to back on the same box.
 pub const GATE_TOLERANCE: f64 = 0.10;
 

@@ -132,8 +132,8 @@ pub fn print_trace_overhead(report: &TraceOverheadReport) {
 /// `BENCH_engine.json` (hand-rolled, like the rest — no serde offline).
 /// The keys are flat and `trace_`-prefixed so `bench_gate`'s
 /// whole-document key lookup finds them without a structural parser;
-/// none of these lines carries both `"name"` and `"speedup"`, so they
-/// stay out of the per-row floor gate.
+/// none of these lines carries both `"name"` and `"threaded_speedup"`,
+/// so they stay out of the per-row floor gate.
 pub fn trace_to_json(report: &TraceOverheadReport) -> String {
     let mut out = String::from("  \"trace\": {\n");
     out.push_str(&format!(
@@ -195,7 +195,7 @@ mod tests {
         assert!(json.contains("\"trace_call_max_ratio\": 1.5"));
         // Must never be picked up by bench_gate's per-row floor parser.
         for line in json.lines() {
-            assert!(!(line.contains("\"name\"") && line.contains("\"speedup\"")));
+            assert!(!(line.contains("\"name\"") && line.contains("\"threaded_speedup\"")));
         }
     }
 

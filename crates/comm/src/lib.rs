@@ -18,8 +18,6 @@
 
 pub mod copy;
 pub mod models;
-pub mod serialize;
 
 pub use copy::deep_copy_value;
 pub use models::{measure, table1, CallCostReport, Model};
-pub use serialize::{deserialize_value, serialize_value, WireError};

@@ -17,10 +17,10 @@
 #![allow(clippy::disallowed_types)]
 
 use crate::copy::deep_copy_value;
-use crate::serialize::{deserialize_value, serialize_value};
 use ijvm_core::ids::{ClassId, IsolateId, LoaderId, MethodRef};
 use ijvm_core::value::{GcRef, Value};
 use ijvm_core::vm::{Vm, VmOptions};
+use ijvm_core::wire::{deserialize_value, serialize_value};
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use std::time::{Duration, Instant};
 

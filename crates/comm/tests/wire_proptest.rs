@@ -1,10 +1,12 @@
-//! Property tests for the RMI wire format: random value trees round-trip
-//! across isolates, and corrupted streams never panic.
+//! Tests for the RMI wire format: random value trees round-trip across
+//! isolates, corrupted streams never panic, object-graph cycles survive,
+//! and every truncation fails cleanly.
 
-use ijvm_comm::{deserialize_value, serialize_value};
 use ijvm_core::heap::ObjBody;
 use ijvm_core::prelude::*;
 use ijvm_core::vm::Vm;
+use ijvm_core::wire::{deserialize_value, serialize_value};
+use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use proptest::prelude::*;
 
 /// A host-side description of a guest value tree.
@@ -128,5 +130,61 @@ proptest! {
         let loader = vm.loader_of(a).unwrap();
         // May succeed (benign flip) or fail cleanly — must not panic.
         let _ = deserialize_value(&mut vm, &wire, a, loader);
+    }
+}
+
+#[test]
+fn round_trips_object_graphs() {
+    let mut vm = ijvm_jsl::boot(VmOptions::isolated());
+    let a = vm.create_isolate("a");
+    let b = vm.create_isolate("b");
+    let src = r#"
+        class Pair { Pair other; int v; }
+        class Mk {
+            static Pair twins() {
+                Pair x = new Pair(); Pair y = new Pair();
+                x.v = 1; y.v = 2; x.other = y; y.other = x;
+                return x;
+            }
+        }
+    "#;
+    // Classes visible to both isolates: install into both loaders.
+    for iso in [a, b] {
+        let loader = vm.loader_of(iso).unwrap();
+        for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(loader, &name, bytes);
+        }
+    }
+    let la = vm.loader_of(a).unwrap();
+    let mk = vm.load_class(la, "Mk").unwrap();
+    let x = vm
+        .call_static_as(mk, "twins", "()LPair;", vec![], a)
+        .unwrap()
+        .unwrap();
+    let Value::Ref(x) = x else { panic!() };
+
+    let mut bytes = Vec::new();
+    serialize_value(&vm, Value::Ref(x), &mut bytes);
+    let lb = vm.loader_of(b).unwrap();
+    let back = deserialize_value(&mut vm, &bytes, b, lb).unwrap();
+    let Value::Ref(cx) = back else { panic!() };
+    assert_ne!(cx, x);
+    let cy = vm.get_field(cx, "other").unwrap().as_ref().unwrap();
+    assert_eq!(vm.get_field(cx, "v").unwrap().as_int(), 1);
+    assert_eq!(vm.get_field(cy, "v").unwrap().as_int(), 2);
+    // Cycle preserved through BACKREF.
+    assert_eq!(vm.get_field(cy, "other").unwrap().as_ref().unwrap(), cx);
+}
+
+#[test]
+fn truncated_streams_error_cleanly() {
+    let mut vm = ijvm_jsl::boot(VmOptions::isolated());
+    let a = vm.create_isolate("a");
+    let s = vm.new_string(a, "hello world");
+    let mut bytes = Vec::new();
+    serialize_value(&vm, Value::Ref(s), &mut bytes);
+    let loader = vm.loader_of(a).unwrap();
+    for cut in 0..bytes.len() {
+        assert!(deserialize_value(&mut vm, &bytes[..cut], a, loader).is_err());
     }
 }

@@ -71,7 +71,7 @@ impl ResourceStats {
     /// Flushes a quantum of exactly-counted CPU into this isolate.
     ///
     /// Every point where a thread leaves an isolate — inter-isolate call
-    /// or return (including the quickened engine's fused call path),
+    /// or return (including the threaded engine's fused call path),
     /// thread completion, stack unwinding past an isolate boundary — must
     /// charge through here *before* the isolate reference changes, so
     /// `cpu_exact` stays exact regardless of engine or call fast path.

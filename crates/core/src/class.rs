@@ -51,7 +51,7 @@ pub struct RuntimeMethod {
     pub returns_value: bool,
     /// Bytecode body (`None` for native/abstract methods).
     pub code: Option<VmRc<CodeBody>>,
-    /// Pre-decoded instruction stream for the quickened engine, built
+    /// Pre-decoded instruction stream for the threaded engine, built
     /// lazily on first execution and dropped with the owning loader.
     pub prepared: Option<VmRc<crate::engine::PreparedCode>>,
     /// Index into the VM's native-function table, bound lazily.

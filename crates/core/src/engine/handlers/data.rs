@@ -69,7 +69,7 @@ pub(crate) fn h_ldc_slow(c: &mut Ctx<'_>, op: u64) -> Flow {
     Flow::Next
 }
 
-/// Quickened string `ldc`: a `(isolate, gc-epoch, ref)` cache hit pushes
+/// The quickened string `ldc`: a `(isolate, gc-epoch, ref)` cache hit pushes
 /// the interned string without touching the intern map; any GC (epoch
 /// bump), isolate switch, or interned-ref death re-resolves and refills.
 pub(crate) fn h_ldc_str(c: &mut Ctx<'_>, op: u64) -> Flow {

@@ -16,16 +16,18 @@ use crate::interp::{
 use crate::vm::Thrown;
 use std::cell::RefCell;
 
-/// Whether a fused virtual site's monomorphic cache can still be filled
-/// (see the match engine's `CacheState`).
+/// Whether a fused virtual site's monomorphic cache can still be filled:
+/// `Cold` caches the first fuseable receiver; `Polymorphic` (the cache
+/// already holds a *different* class) never rebuilds, so megamorphic
+/// sites stay allocation-free on the plain vtable path.
 #[derive(PartialEq)]
 enum CacheState {
     Cold,
     Polymorphic,
 }
 
-/// Quickens an `invokestatic`/`invokespecial` slow form (the match
-/// engine's `quicken_direct_call!`).
+/// Quickens an `invokestatic`/`invokespecial` slow form to its fused
+/// form, or to the resolved fallback when the target cannot fuse.
 fn quicken_direct_call(c: &mut Ctx<'_>, cp: u16, is_static: bool) -> Flow {
     c.flush_at(c.next);
     let class_id = tfr!(c).class;

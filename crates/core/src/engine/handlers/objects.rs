@@ -2,8 +2,8 @@
 //! and monitors. Slow forms resolve through the shared `resolve_*`
 //! helpers and rewrite their cell to the resolved handler (quickening);
 //! in `Shared` mode statics and `new` take a second transition to the
-//! init-elided handlers, modelling the baseline JIT exactly like the
-//! match engine's `*I` forms.
+//! init-elided handlers, modelling the baseline JIT exactly like the raw
+//! interpreter's `RtCp::*Init` fast paths.
 
 use super::{hi32, lo32, tchk, tfr, tpop, tpush, Ctx, Flow};
 use crate::class::{ClassTarget, InitState};

@@ -9,7 +9,7 @@
 //!
 //! Constant-pool-indexed instructions start in their *slow* form carrying
 //! the pool index (`GetStatic`, `InvokeVirtual`, …). On first execution
-//! the quickened dispatch resolves them and rewrites the cell in place to
+//! the threaded dispatch resolves them and rewrites its cell in place to
 //! a *resolved* form (`GetStaticR`, `InvokeVirtualR`, …) carrying direct
 //! slot/vtable/method operands — the classic quickening transition. In
 //! `Shared` isolation mode a second transition to the *init-elided* forms
@@ -75,7 +75,8 @@ pub enum TrapKind {
 }
 
 /// One pre-decoded instruction. Fixed-width and `Copy`, so the stream is
-/// a dense array and quickening is a single `Cell::set`.
+/// a dense array; quickening rewrites the lowered [`super::handlers::TCell`],
+/// never this stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum XInsn {
     /// No operation.
@@ -96,7 +97,7 @@ pub enum XInsn {
     /// constants quicken to [`XInsn::LdcStr`] on first execution; class
     /// constants stay slow (their resolution can create mirrors).
     LdcSlow(u16),
-    /// Quickened `ldc` of a string constant with a per-site monomorphic
+    /// The quickened `ldc` of a string constant with a per-site monomorphic
     /// `(isolate, gc-epoch, ref)` cache; operand indexes
     /// [`super::PreparedCode::ldc_sites`]. A hit pushes the interned ref
     /// without touching the isolate's intern map; the cache invalidates

@@ -28,9 +28,6 @@ pub const STOPPED_ISOLATE_EXCEPTION: &str = "org/ijvm/StoppedIsolateException";
 pub(crate) fn step_thread(vm: &mut Vm, tid: ThreadId, budget: u32) -> u32 {
     match vm.options.engine {
         crate::engine::EngineKind::Raw => step_thread_raw(vm, tid, budget),
-        crate::engine::EngineKind::Quickened => {
-            crate::engine::quicken::step_thread_quickened(vm, tid, budget)
-        }
         crate::engine::EngineKind::Threaded => {
             crate::engine::handlers::step_thread_threaded(vm, tid, budget)
         }
@@ -1353,7 +1350,7 @@ pub(crate) fn invoke_fused(
 /// Performs a call whose target method is already resolved: poisoning
 /// check, native dispatch or frame push, `synchronized` entry, and the
 /// inter-isolate thread migration of paper §3.1. Shared by the raw
-/// interpreter's `do_invoke` and the quickened engine's fast invoke forms.
+/// interpreter's `do_invoke` and the threaded engine's invoke handlers.
 pub(crate) fn invoke_resolved(
     vm: &mut Vm,
     tid: ThreadId,

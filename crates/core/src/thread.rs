@@ -38,7 +38,7 @@ const MAX_POOLED_BUF_SLOTS: usize = 256;
 /// buffer never holds stale [`Value::Ref`]s, so the pool is invisible to
 /// the GC (it is not a root set).
 ///
-/// Only the fused call path of the quickened/threaded engines draws from
+/// Only the fused call path of the threaded engine draws from
 /// the pool (the raw interpreter stays allocation-identical as the
 /// differential oracle); every engine *feeds* it on frame teardown.
 ///

@@ -46,11 +46,10 @@ pub struct VmOptions {
     /// Isolation mode (see [`IsolationMode`]).
     pub isolation: IsolationMode,
     /// Execution engine (see [`crate::engine::EngineKind`]): pre-decoded
-    /// direct-threaded dispatch by default, with the quickened match
-    /// dispatch and the raw byte interpreter kept for ablation, A/B
-    /// comparison and differential testing.
+    /// direct-threaded dispatch by default, with the raw byte interpreter
+    /// kept for ablation, A/B comparison and differential testing.
     pub engine: crate::engine::EngineKind,
-    /// Superinstruction fusion in the pre-decoded engines' pre-decoder
+    /// Superinstruction fusion in the threaded engine's pre-decoder
     /// (peephole-folded `Load+Load+Iadd+Store` and compare-and-branch
     /// shapes). On by default; separable for ablation and for the
     /// fused-vs-unfused differential tests. Ignored by the raw engine.
@@ -1589,9 +1588,9 @@ impl Vm {
         mirrors + isolates
     }
 
-    /// Estimated footprint of the quickened engine's pre-decoded
-    /// instruction streams and side tables, across all methods that have
-    /// executed at least once.
+    /// Estimated footprint of the threaded engine's pre-decoded
+    /// instruction streams, cell streams and side tables, across all
+    /// methods that have executed at least once.
     pub fn engine_metadata_bytes(&self) -> usize {
         self.classes
             .iter()

@@ -4,12 +4,11 @@
 //! This codec is the copy mechanism of the inter-unit service/message
 //! layer ([`crate::port`]): cross-unit call arguments and results are
 //! serialized in the sender's VM, shipped as bytes through the target
-//! unit's mailbox, and deserialized into the receiving isolate. It is
-//! also re-exported as `ijvm_comm::serialize` where it doubles as the
-//! marshalling layer of the RMI comparison model (paper Table 1) — one
-//! wire format, two roles, so the "copy/marshalling cost" the paper
-//! measures and the cost the cluster charges senders for are the same
-//! bytes.
+//! unit's mailbox, and deserialized into the receiving isolate. The
+//! `ijvm-comm` crate's RMI comparison model (paper Table 1) uses it as
+//! its marshalling layer — one wire format, two roles, so the
+//! "copy/marshalling cost" the paper measures and the cost the cluster
+//! charges senders for are the same bytes.
 //!
 //! Sharing and cycles within one serialized graph are preserved through
 //! back-references; sharing *across* messages is not (each message is an

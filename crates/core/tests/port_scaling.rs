@@ -28,11 +28,10 @@ use ijvm_minijava::{compile_to_bytes, CompileEnv};
 
 fn engine_lane() -> (EngineKind, bool) {
     match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("quickened") => (EngineKind::Quickened, true),
-        Ok("quickened-nofuse") => (EngineKind::Quickened, false),
         Ok("threaded") | Ok("parallel") => (EngineKind::Threaded, true),
         Ok("threaded-nofuse") | Ok("parallel-nofuse") => (EngineKind::Threaded, false),
         Ok("raw") => (EngineKind::Raw, true),
+        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ENGINE {other:?}"),
         _ => (EngineKind::Threaded, true),
     }
 }
@@ -40,6 +39,8 @@ fn engine_lane() -> (EngineKind, bool) {
 fn isolation_lane() -> IsolationMode {
     match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
         Ok("shared") => IsolationMode::Shared,
+        Ok("isolated") => IsolationMode::Isolated,
+        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ISOLATION {other:?}"),
         _ => IsolationMode::Isolated,
     }
 }
