@@ -49,8 +49,9 @@ fn copy_ref(
         return Some(copied);
     }
     // Strings copy by value (cheapest correct behaviour across isolates).
-    if let Some(s) = vm.read_string(r) {
-        let copied = vm.new_string(target, &s);
+    if let Some(chars) = vm.string_chars(r) {
+        let chars = chars.into();
+        let copied = vm.new_string_utf16(target, chars);
         pins.push(vm.pin(copied));
         seen.insert(r, copied);
         return Some(copied);
@@ -78,25 +79,18 @@ fn copy_ref(
         }
         BodyKind::PrimArray => {
             // Clone the payload wholesale.
-            let (body, desc) = {
-                let obj = vm.heap().get(r);
-                (obj.body.clone(), obj.array_desc.clone())
-            };
-            let copied = alloc_clone(vm, class, target, body, &desc)?;
+            let body = vm.heap().get(r).body.clone();
+            let copied = vm.alloc_array(target, body)?;
             pins.push(vm.pin(copied));
             seen.insert(r, copied);
             Some(copied)
         }
         BodyKind::RefArray(n) => {
-            let (elem_desc, desc) = {
-                let obj = vm.heap().get(r);
-                let ObjBody::ArrRef { elem_desc, .. } = &obj.body else {
-                    unreachable!()
-                };
-                (elem_desc.clone(), obj.array_desc.clone())
+            let ObjBody::ArrRef { elem_desc, .. } = &vm.heap().get(r).body else {
+                unreachable!("shape checked above")
             };
+            let elem_desc = elem_desc.clone();
             let copied = vm.alloc_ref_array(target, &elem_desc, n)?;
-            let _ = desc;
             pins.push(vm.pin(copied));
             seen.insert(r, copied);
             for i in 0..n {
@@ -125,31 +119,6 @@ fn discriminate(body: &ObjBody) -> BodyKind {
         ObjBody::Fields(f) => BodyKind::Fields(f.len()),
         ObjBody::ArrRef { data, .. } => BodyKind::RefArray(data.len()),
         _ => BodyKind::PrimArray,
-    }
-}
-
-fn alloc_clone(
-    vm: &mut Vm,
-    class: ijvm_core::ids::ClassId,
-    target: IsolateId,
-    body: ObjBody,
-    desc: &str,
-) -> Option<GcRef> {
-    // Primitive arrays have no inner references; clone the body directly
-    // through the public char-array/ref-array helpers where possible.
-    match body {
-        ObjBody::ArrChar(chars) => vm.alloc_chars(target, &chars),
-        other => {
-            // Fall back: allocate via a ref-array-sized check then swap the
-            // body in place (all primitive kinds share the accounting path).
-            let len = other.array_len().unwrap_or(0);
-            let placeholder = vm.alloc_ref_array(target, "Ljava/lang/Object;", len)?;
-            let obj = vm.heap_mut().get_mut(placeholder);
-            obj.body = other;
-            obj.class = class;
-            obj.array_desc = desc.to_owned();
-            Some(placeholder)
-        }
     }
 }
 

@@ -44,16 +44,10 @@ fn build(vm: &mut Vm, iso: IsolateId, t: &Tree) -> Value {
         Tree::Long(v) => Value::Long(*v),
         Tree::Double(v) => Value::Double(*v),
         Tree::Str(s) => Value::Ref(vm.new_string(iso, s)),
-        Tree::IntArray(xs) => {
-            // Build through the public ref-array API then swap the body in.
-            let arr = vm
-                .alloc_ref_array(iso, "Ljava/lang/Object;", xs.len())
-                .unwrap();
-            let obj = vm.heap_mut().get_mut(arr);
-            obj.body = ObjBody::ArrInt(xs.clone().into_boxed_slice());
-            obj.array_desc = "[I".to_owned();
-            Value::Ref(arr)
-        }
+        Tree::IntArray(xs) => Value::Ref(
+            vm.alloc_array(iso, ObjBody::ArrInt(xs.clone().into_boxed_slice()))
+                .unwrap(),
+        ),
         Tree::RefArray(children) => {
             let arr = vm
                 .alloc_ref_array(iso, "Ljava/lang/Object;", children.len())
@@ -131,6 +125,20 @@ proptest! {
         // May succeed (benign flip) or fail cleanly — must not panic.
         let _ = deserialize_value(&mut vm, &wire, a, loader);
     }
+
+    /// Every strict prefix of an encoded tree is rejected.
+    #[test]
+    fn truncated_streams_error_cleanly(tree in arb_tree()) {
+        let mut vm = ijvm_jsl::boot(VmOptions::isolated());
+        let a = vm.create_isolate("a");
+        let v = build(&mut vm, a, &tree);
+        let mut bytes = Vec::new();
+        serialize_value(&vm, v, &mut bytes);
+        let loader = vm.loader_of(a).unwrap();
+        for cut in 0..bytes.len() {
+            prop_assert!(deserialize_value(&mut vm, &bytes[..cut], a, loader).is_err());
+        }
+    }
 }
 
 #[test]
@@ -174,17 +182,4 @@ fn round_trips_object_graphs() {
     assert_eq!(vm.get_field(cy, "v").unwrap().as_int(), 2);
     // Cycle preserved through BACKREF.
     assert_eq!(vm.get_field(cy, "other").unwrap().as_ref().unwrap(), cx);
-}
-
-#[test]
-fn truncated_streams_error_cleanly() {
-    let mut vm = ijvm_jsl::boot(VmOptions::isolated());
-    let a = vm.create_isolate("a");
-    let s = vm.new_string(a, "hello world");
-    let mut bytes = Vec::new();
-    serialize_value(&vm, Value::Ref(s), &mut bytes);
-    let loader = vm.loader_of(a).unwrap();
-    for cut in 0..bytes.len() {
-        assert!(deserialize_value(&mut vm, &bytes[..cut], a, loader).is_err());
-    }
 }

@@ -284,19 +284,17 @@ fn register_core_natives(vm: &mut Vm) {
         "()Ljava/lang/String;",
         Arc::new(|_vm, _tid, args| NativeResult::Return(Some(args[0]))),
     );
+    // The String natives below work on the UTF-16 body in place, so they
+    // are exact on every code unit (unpaired surrogates included).
     vm.register_native(
         "java/lang/String",
         "equals",
         "(Ljava/lang/Object;)Z",
         Arc::new(|vm, _tid, args| {
             let a = args[0].as_ref().expect("receiver");
-            let eq = match args[1] {
-                Value::Ref(b) => {
-                    let sa = vm.read_string(a);
-                    let sb = vm.read_string(b);
-                    sa.is_some() && sa == sb
-                }
-                _ => false,
+            let eq = match args[1].as_ref().and_then(|b| vm.string_chars(b)) {
+                Some(sb) => vm.string_chars(a) == Some(sb),
+                None => false,
             };
             NativeResult::Return(Some(Value::Int(eq as i32)))
         }),
@@ -307,12 +305,12 @@ fn register_core_natives(vm: &mut Vm) {
         "()I",
         Arc::new(|vm, _tid, args| {
             let r = args[0].as_ref().expect("receiver");
-            let s = vm.read_string(r).unwrap_or_default();
             // Java's String.hashCode.
-            let mut h: i32 = 0;
-            for c in s.encode_utf16() {
-                h = h.wrapping_mul(31).wrapping_add(c as i32);
-            }
+            let h = vm
+                .string_chars(r)
+                .unwrap_or_default()
+                .iter()
+                .fold(0i32, |h, &c| h.wrapping_mul(31).wrapping_add(c as i32));
             NativeResult::Return(Some(Value::Int(h)))
         }),
     );
@@ -322,13 +320,13 @@ fn register_core_natives(vm: &mut Vm) {
         "(Ljava/lang/String;)Ljava/lang/String;",
         Arc::new(|vm, tid, args| {
             let a = args[0].as_ref().expect("receiver");
-            let sa = vm.read_string(a).unwrap_or_default();
-            let sb = match args[1] {
-                Value::Ref(b) => vm.read_string(b).unwrap_or_else(|| "null".to_owned()),
-                _ => "null".to_owned(),
+            let sa = vm.string_chars(a).unwrap_or_default();
+            let chars: Box<[u16]> = match args[1].as_ref().and_then(|b| vm.string_chars(b)) {
+                Some(sb) => [sa, sb].concat().into(),
+                None => sa.iter().copied().chain("null".encode_utf16()).collect(),
             };
             let iso = vm.thread(tid).expect("current thread").current_isolate;
-            let r = vm.new_string(iso, &format!("{sa}{sb}"));
+            let r = vm.new_string_utf16(iso, chars);
             NativeResult::Return(Some(Value::Ref(r)))
         }),
     );
@@ -338,8 +336,7 @@ fn register_core_natives(vm: &mut Vm) {
         "(II)Ljava/lang/String;",
         Arc::new(|vm, tid, args| {
             let r = args[0].as_ref().expect("receiver");
-            let s = vm.read_string(r).unwrap_or_default();
-            let chars: Vec<u16> = s.encode_utf16().collect();
+            let chars = vm.string_chars(r).unwrap_or_default();
             let from = args[1].as_int();
             let to = args[2].as_int();
             if from < 0 || to > chars.len() as i32 || from > to {
@@ -348,9 +345,9 @@ fn register_core_natives(vm: &mut Vm) {
                     message: format!("substring({from}, {to}) of length {}", chars.len()),
                 };
             }
-            let sub = String::from_utf16_lossy(&chars[from as usize..to as usize]);
+            let sub: Box<[u16]> = chars[from as usize..to as usize].into();
             let iso = vm.thread(tid).expect("current thread").current_isolate;
-            let out = vm.new_string(iso, &sub);
+            let out = vm.new_string_utf16(iso, sub);
             NativeResult::Return(Some(Value::Ref(out)))
         }),
     );
@@ -360,11 +357,12 @@ fn register_core_natives(vm: &mut Vm) {
         "(I)I",
         Arc::new(|vm, _tid, args| {
             let r = args[0].as_ref().expect("receiver");
-            let s = vm.read_string(r).unwrap_or_default();
             let needle = args[1].as_int() as u16;
-            let idx = s
-                .encode_utf16()
-                .position(|c| c == needle)
+            let idx = vm
+                .string_chars(r)
+                .unwrap_or_default()
+                .iter()
+                .position(|&c| c == needle)
                 .map(|i| i as i32)
                 .unwrap_or(-1);
             NativeResult::Return(Some(Value::Int(idx)))

@@ -59,7 +59,7 @@ use crate::port::{FutureImage, FutureSlotImage, PayloadKind, PortImage, PumpImag
 use crate::thread::{Frame, FramePool, ThreadState, VmThread};
 use crate::value::{GcRef, Value};
 use crate::vm::{IsolationMode, Vm, VmOptions};
-use crate::wire::{Reader, WireError};
+use crate::wire::{write_elems, Reader, WireError};
 use std::collections::VecDeque;
 
 /// Image magic: the first four bytes of every unit image.
@@ -212,7 +212,8 @@ fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ----------------------------------------------------------------------
-// Big-endian writers (the Reader in `wire.rs` is the matching decoder).
+// Big-endian writers (the Reader in `wire.rs` is the matching decoder;
+// array bodies go through its `write_elems`).
 // ----------------------------------------------------------------------
 
 fn w_u8(out: &mut Vec<u8>, v: u8) {
@@ -659,57 +660,35 @@ fn enc_body(out: &mut Vec<u8>, body: &ObjBody) {
         }
         ObjBody::ArrBool(a) => {
             w_u8(out, 1);
-            w_u32(out, a.len() as u32);
-            out.extend_from_slice(a);
+            write_elems(out, a, u8::to_be_bytes);
         }
         ObjBody::ArrByte(a) => {
             w_u8(out, 2);
-            w_u32(out, a.len() as u32);
-            for &x in a.iter() {
-                out.push(x as u8);
-            }
+            write_elems(out, a, i8::to_be_bytes);
         }
         ObjBody::ArrChar(a) => {
             w_u8(out, 3);
-            w_u32(out, a.len() as u32);
-            for &x in a.iter() {
-                w_u16(out, x);
-            }
+            write_elems(out, a, u16::to_be_bytes);
         }
         ObjBody::ArrShort(a) => {
             w_u8(out, 4);
-            w_u32(out, a.len() as u32);
-            for &x in a.iter() {
-                w_u16(out, x as u16);
-            }
+            write_elems(out, a, i16::to_be_bytes);
         }
         ObjBody::ArrInt(a) => {
             w_u8(out, 5);
-            w_u32(out, a.len() as u32);
-            for &x in a.iter() {
-                w_u32(out, x as u32);
-            }
+            write_elems(out, a, i32::to_be_bytes);
         }
         ObjBody::ArrLong(a) => {
             w_u8(out, 6);
-            w_u32(out, a.len() as u32);
-            for &x in a.iter() {
-                w_u64(out, x as u64);
-            }
+            write_elems(out, a, i64::to_be_bytes);
         }
         ObjBody::ArrFloat(a) => {
             w_u8(out, 7);
-            w_u32(out, a.len() as u32);
-            for &x in a.iter() {
-                w_u32(out, x.to_bits());
-            }
+            write_elems(out, a, |x: f32| x.to_bits().to_be_bytes());
         }
         ObjBody::ArrDouble(a) => {
             w_u8(out, 8);
-            w_u32(out, a.len() as u32);
-            for &x in a.iter() {
-                w_u64(out, x.to_bits());
-            }
+            write_elems(out, a, |x: f64| x.to_bits().to_be_bytes());
         }
         ObjBody::ArrRef { elem_desc, data } => {
             w_u8(out, 9);
@@ -979,7 +958,7 @@ pub fn restore(
     vm.allocated_since_gc = misc.allocated_since_gc as usize;
     vm.exit_code = misc.exit_code;
     vm.console = misc.console;
-    vm.host_roots = misc.host_roots;
+    vm.restore_host_roots(misc.host_roots);
     Ok(vm)
 }
 
@@ -1051,11 +1030,7 @@ fn dec_loaders(bytes: &[u8], vm: &mut Vm) -> Result<(), CheckpointError> {
         for _ in 0..n_classes {
             let cname = r.str()?;
             let blen = r.u32()? as usize;
-            if blen > r.remaining() {
-                return Err(CheckpointError::Truncated);
-            }
-            let cbytes = bytes[r.pos..r.pos + blen].to_vec();
-            r.pos += blen;
+            let cbytes = r.take(blen)?.to_vec();
             if i == 0 {
                 vm.add_system_class_bytes(&cname, cbytes);
             } else {
@@ -1202,54 +1177,14 @@ fn dec_body(r: &mut Reader<'_>) -> Result<ObjBody, CheckpointError> {
     let tag = r.u8()?;
     Ok(match tag {
         0 => ObjBody::Fields(r_values(r)?.into_boxed_slice()),
-        1 | 2 => {
-            let n = r_count(r, 1)?;
-            let mut a = Vec::new();
-            for _ in 0..n {
-                a.push(r.u8()?);
-            }
-            if tag == 1 {
-                ObjBody::ArrBool(a.into_boxed_slice())
-            } else {
-                ObjBody::ArrByte(a.iter().map(|&b| b as i8).collect())
-            }
-        }
-        3 | 4 => {
-            let n = r_count(r, 2)?;
-            let mut a = Vec::new();
-            for _ in 0..n {
-                a.push(r.u16()?);
-            }
-            if tag == 3 {
-                ObjBody::ArrChar(a.into_boxed_slice())
-            } else {
-                ObjBody::ArrShort(a.iter().map(|&x| x as i16).collect())
-            }
-        }
-        5 | 7 => {
-            let n = r_count(r, 4)?;
-            let mut a = Vec::new();
-            for _ in 0..n {
-                a.push(r.u32()?);
-            }
-            if tag == 5 {
-                ObjBody::ArrInt(a.iter().map(|&x| x as i32).collect())
-            } else {
-                ObjBody::ArrFloat(a.iter().map(|&x| f32::from_bits(x)).collect())
-            }
-        }
-        6 | 8 => {
-            let n = r_count(r, 8)?;
-            let mut a = Vec::new();
-            for _ in 0..n {
-                a.push(r.u64()?);
-            }
-            if tag == 6 {
-                ObjBody::ArrLong(a.iter().map(|&x| x as i64).collect())
-            } else {
-                ObjBody::ArrDouble(a.iter().map(|&x| f64::from_bits(x)).collect())
-            }
-        }
+        1 => ObjBody::ArrBool(r.elems(u8::from_be_bytes)?),
+        2 => ObjBody::ArrByte(r.elems(i8::from_be_bytes)?),
+        3 => ObjBody::ArrChar(r.elems(u16::from_be_bytes)?),
+        4 => ObjBody::ArrShort(r.elems(i16::from_be_bytes)?),
+        5 => ObjBody::ArrInt(r.elems(i32::from_be_bytes)?),
+        6 => ObjBody::ArrLong(r.elems(i64::from_be_bytes)?),
+        7 => ObjBody::ArrFloat(r.elems(|b| f32::from_bits(u32::from_be_bytes(b)))?),
+        8 => ObjBody::ArrDouble(r.elems(|b| f64::from_bits(u64::from_be_bytes(b)))?),
         9 => {
             let elem_desc = r.str()?;
             ObjBody::ArrRef {
@@ -1470,11 +1405,7 @@ fn dec_port(bytes: &[u8]) -> Result<PortImage, CheckpointError> {
                     _ => return Err(CheckpointError::Corrupt("payload kind")),
                 };
                 let blen = r.u32()? as usize;
-                if blen > r.remaining() {
-                    return Err(CheckpointError::Truncated);
-                }
-                let payload = bytes[r.pos..r.pos + blen].to_vec();
-                r.pos += blen;
+                let payload = r.take(blen)?.to_vec();
                 FutureSlotImage::Ready(Ok((kind, payload)))
             }
             1 => FutureSlotImage::Ready(Err(ReplyError::Revoked(r.str()?))),

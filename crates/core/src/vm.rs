@@ -18,9 +18,10 @@ use crate::natives::{NativeFn, NativeRegistry};
 use crate::thread::{Frame, ThreadState, VmThread};
 use crate::value::{GcRef, Value};
 use ijvm_classfile::{AccessFlags, ClassFile, MethodDescriptor};
+use std::cmp::Reverse;
 // lint: allow(determinism) — import only; every HashMap/HashSet below
 // is keyed lookup (insert/get/contains), never iterated.
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Whether the VM runs with I-JVM isolation or as the unmodified baseline.
@@ -220,6 +221,9 @@ pub struct Vm {
     pub(crate) vclock: u64,
     pub(crate) natives: NativeRegistry,
     pub(crate) host_roots: Vec<Option<GcRef>>,
+    /// The `None` slots of `host_roots`, lowest first, so [`Vm::pin`]
+    /// takes the lowest free handle without scanning the table.
+    free_pins: BinaryHeap<Reverse<usize>>,
     pub(crate) allocated_since_gc: usize,
     pub(crate) gc_count: u64,
     pub(crate) console: Vec<String>,
@@ -281,6 +285,7 @@ impl Vm {
             vclock: 0,
             natives: NativeRegistry::new(),
             host_roots: Vec::new(),
+            free_pins: BinaryHeap::new(),
             allocated_since_gc: 0,
             gc_count: 0,
             console: Vec::new(),
@@ -884,7 +889,13 @@ impl Vm {
 
     /// Allocates a fresh (non-interned) string object charged to `iso`.
     pub fn new_string(&mut self, iso: IsolateId, s: &str) -> GcRef {
-        let chars: Box<[u16]> = s.encode_utf16().collect();
+        self.new_string_utf16(iso, s.encode_utf16().collect())
+    }
+
+    /// Allocates a fresh string object whose body is `chars`, charged to
+    /// `iso`. The code units are kept as given, unpaired surrogates
+    /// included.
+    pub fn new_string_utf16(&mut self, iso: IsolateId, chars: Box<[u16]>) -> GcRef {
         let string_class = self
             .well_known
             .string
@@ -909,9 +920,9 @@ impl Vm {
         )
     }
 
-    /// Reads a Java string back into Rust. Returns `None` if `r` is not a
-    /// string object.
-    pub fn read_string(&self, r: GcRef) -> Option<String> {
+    /// The UTF-16 body of a Java string, borrowed in place. Returns `None`
+    /// if `r` is not a string object.
+    pub fn string_chars(&self, r: GcRef) -> Option<&[u16]> {
         let obj = self.heap.get(r);
         let string_class = self.well_known.string?;
         if obj.class != string_class {
@@ -923,9 +934,15 @@ impl Vm {
         };
         let arr = fields[vslot as usize].as_ref()?;
         match &self.heap.get(arr).body {
-            ObjBody::ArrChar(chars) => Some(String::from_utf16_lossy(chars)),
+            ObjBody::ArrChar(chars) => Some(chars),
             _ => None,
         }
+    }
+
+    /// Reads a Java string back into Rust (unpaired surrogates become
+    /// U+FFFD). Returns `None` if `r` is not a string object.
+    pub fn read_string(&self, r: GcRef) -> Option<String> {
+        self.string_chars(r).map(String::from_utf16_lossy)
     }
 
     // ------------------------------------------------------------------
@@ -1611,23 +1628,40 @@ impl Vm {
         self.console.push(line);
     }
 
-    /// Pins an object as a host root (survives GC until unpinned).
+    /// Pins an object as a host root (survives GC until unpinned). The
+    /// handle is the lowest free slot.
     pub fn pin(&mut self, r: GcRef) -> usize {
-        for (i, slot) in self.host_roots.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(r);
-                return i;
+        match self.free_pins.pop() {
+            Some(Reverse(i)) => {
+                self.host_roots[i] = Some(r);
+                i
+            }
+            None => {
+                self.host_roots.push(Some(r));
+                self.host_roots.len() - 1
             }
         }
-        self.host_roots.push(Some(r));
-        self.host_roots.len() - 1
     }
 
     /// Releases a pinned root.
     pub fn unpin(&mut self, handle: usize) {
         if let Some(slot) = self.host_roots.get_mut(handle) {
-            *slot = None;
+            if slot.take().is_some() {
+                self.free_pins.push(Reverse(handle));
+            }
         }
+    }
+
+    /// Replaces the host-root table (checkpoint restore), rebuilding its
+    /// free-slot index.
+    pub(crate) fn restore_host_roots(&mut self, roots: Vec<Option<GcRef>>) {
+        self.free_pins = roots
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.is_none())
+            .map(|(i, _)| Reverse(i))
+            .collect();
+        self.host_roots = roots;
     }
 
     /// Reads a pinned root back.
@@ -1816,31 +1850,50 @@ impl Vm {
         elem_desc: &str,
         len: usize,
     ) -> Option<GcRef> {
-        let size = crate::heap::OBJECT_HEADER_BYTES + len * 8;
-        if self.check_heap(size, iso).is_err() {
-            return None;
-        }
-        let obj_class = self.well_known.object.expect("bootstrap installed");
-        let desc = format!("[{elem_desc}");
-        Some(self.alloc_raw(
-            obj_class,
+        self.alloc_array(
             iso,
             ObjBody::ArrRef {
                 elem_desc: elem_desc.to_owned(),
                 data: vec![Value::Null; len].into_boxed_slice(),
             },
-            &desc,
-        ))
+        )
     }
 
     /// Allocates a `char[]` with the given contents, charged to `iso`.
     pub fn alloc_chars(&mut self, iso: IsolateId, chars: &[u16]) -> Option<GcRef> {
-        let size = crate::heap::OBJECT_HEADER_BYTES + chars.len() * 2;
+        self.alloc_array(iso, ObjBody::ArrChar(chars.into()))
+    }
+
+    /// Allocates an array holding `body`, charged to `iso` at its real
+    /// size. Returns `None` when the heap limit would be exceeded even
+    /// after a collection.
+    ///
+    /// # Panics
+    ///
+    /// If `body` is not an array body.
+    pub fn alloc_array(&mut self, iso: IsolateId, body: ObjBody) -> Option<GcRef> {
+        let ref_desc;
+        let desc = match &body {
+            ObjBody::Fields(_) => panic!("alloc_array: not an array body"),
+            ObjBody::ArrBool(_) => "[Z",
+            ObjBody::ArrByte(_) => "[B",
+            ObjBody::ArrChar(_) => "[C",
+            ObjBody::ArrShort(_) => "[S",
+            ObjBody::ArrInt(_) => "[I",
+            ObjBody::ArrLong(_) => "[J",
+            ObjBody::ArrFloat(_) => "[F",
+            ObjBody::ArrDouble(_) => "[D",
+            ObjBody::ArrRef { elem_desc, .. } => {
+                ref_desc = format!("[{elem_desc}");
+                &ref_desc
+            }
+        };
+        let size = crate::heap::OBJECT_HEADER_BYTES + body.payload_bytes();
         if self.check_heap(size, iso).is_err() {
             return None;
         }
         let obj_class = self.well_known.object.expect("bootstrap installed");
-        Some(self.alloc_raw(obj_class, iso, ObjBody::ArrChar(chars.into()), "[C"))
+        Some(self.alloc_raw(obj_class, iso, body, desc))
     }
 
     /// Reads an instance field by name (searching the flattened layout).

@@ -13,6 +13,13 @@
 //! Sharing and cycles within one serialized graph are preserved through
 //! back-references; sharing *across* messages is not (each message is an
 //! independent deep copy, the Incommunicado/links semantics).
+//!
+//! Primitive arrays travel as one big-endian block and are decoded
+//! straight into their final body, charged to the receiver at their real
+//! size. Every length is checked against the bytes actually present
+//! before anything is allocated. Strings travel as UTF-8: a string body
+//! holding an unpaired surrogate arrives with U+FFFD in its place (the
+//! VM's own string operations keep such code units exact).
 
 use crate::heap::ObjBody;
 use crate::ids::{IsolateId, LoaderId};
@@ -105,6 +112,21 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Writes a length and then every element of `a`, `W` bytes each, into
+/// one pre-sized block (shared with the checkpoint image encoder).
+pub(crate) fn write_elems<T: Copy, const W: usize>(
+    out: &mut Vec<u8>,
+    a: &[T],
+    be: impl Fn(T) -> [u8; W],
+) {
+    write_len(out, a.len());
+    let start = out.len();
+    out.resize(start + a.len() * W, 0);
+    for (dst, &x) in out[start..].chunks_exact_mut(W).zip(a) {
+        dst.copy_from_slice(&be(x));
+    }
+}
+
 fn write_ref(vm: &Vm, r: GcRef, out: &mut Vec<u8>, seen: &mut HashMap<GcRef, u32>) {
     if let Some(&id) = seen.get(&r) {
         out.push(tag::BACKREF);
@@ -114,9 +136,14 @@ fn write_ref(vm: &Vm, r: GcRef, out: &mut Vec<u8>, seen: &mut HashMap<GcRef, u32
     let id = seen.len() as u32;
     seen.insert(r, id);
 
-    if let Some(s) = vm.read_string(r) {
+    if let Some(chars) = vm.string_chars(r) {
         out.push(tag::STRING);
-        write_str(out, &s);
+        if chars.iter().all(|&c| c < 0x80) {
+            write_len(out, chars.len());
+            out.extend(chars.iter().map(|&c| c as u8));
+        } else {
+            write_str(out, &String::from_utf16_lossy(chars));
+        }
         return;
     }
     let obj = vm.heap().get(r);
@@ -125,80 +152,50 @@ fn write_ref(vm: &Vm, r: GcRef, out: &mut Vec<u8>, seen: &mut HashMap<GcRef, u32
             out.push(tag::OBJECT);
             write_str(out, &vm.class(obj.class).name);
             write_len(out, fields.len());
-            let fields: Vec<Value> = fields.to_vec();
-            for f in fields {
+            for &f in fields.iter() {
                 write_value(vm, f, out, seen);
-            }
-        }
-        ObjBody::ArrInt(a) => {
-            out.push(tag::ARR_INT);
-            write_len(out, a.len());
-            for x in a.iter() {
-                out.extend_from_slice(&x.to_be_bytes());
-            }
-        }
-        ObjBody::ArrLong(a) => {
-            out.push(tag::ARR_LONG);
-            write_len(out, a.len());
-            for x in a.iter() {
-                out.extend_from_slice(&x.to_be_bytes());
-            }
-        }
-        ObjBody::ArrDouble(a) => {
-            out.push(tag::ARR_DOUBLE);
-            write_len(out, a.len());
-            for x in a.iter() {
-                out.extend_from_slice(&x.to_bits().to_be_bytes());
-            }
-        }
-        ObjBody::ArrChar(a) => {
-            out.push(tag::ARR_CHAR);
-            write_len(out, a.len());
-            for x in a.iter() {
-                out.extend_from_slice(&x.to_be_bytes());
-            }
-        }
-        ObjBody::ArrByte(a) => {
-            out.push(tag::ARR_BYTE);
-            write_len(out, a.len());
-            for x in a.iter() {
-                out.push(*x as u8);
             }
         }
         ObjBody::ArrRef { elem_desc, data } => {
             out.push(tag::ARR_REF);
             write_str(out, elem_desc);
             write_len(out, data.len());
-            let data: Vec<Value> = data.to_vec();
-            for v in data {
+            for &v in data.iter() {
                 write_value(vm, v, out, seen);
             }
         }
-        other => {
-            // Bool/short/float arrays: ship as OTHER with element kind.
-            out.push(tag::ARR_OTHER);
-            let (kind, len): (u8, usize) = match other {
-                ObjBody::ArrBool(a) => (0, a.len()),
-                ObjBody::ArrShort(a) => (1, a.len()),
-                ObjBody::ArrFloat(a) => (2, a.len()),
-                _ => unreachable!("covered above"),
-            };
-            out.push(kind);
-            write_len(out, len);
-            match other {
-                ObjBody::ArrBool(a) => out.extend(a.iter()),
-                ObjBody::ArrShort(a) => {
-                    for x in a.iter() {
-                        out.extend_from_slice(&x.to_be_bytes());
-                    }
-                }
-                ObjBody::ArrFloat(a) => {
-                    for x in a.iter() {
-                        out.extend_from_slice(&x.to_bits().to_be_bytes());
-                    }
-                }
-                _ => unreachable!(),
-            }
+        ObjBody::ArrInt(a) => {
+            out.push(tag::ARR_INT);
+            write_elems(out, a, i32::to_be_bytes);
+        }
+        ObjBody::ArrLong(a) => {
+            out.push(tag::ARR_LONG);
+            write_elems(out, a, i64::to_be_bytes);
+        }
+        ObjBody::ArrDouble(a) => {
+            out.push(tag::ARR_DOUBLE);
+            write_elems(out, a, |x: f64| x.to_bits().to_be_bytes());
+        }
+        ObjBody::ArrChar(a) => {
+            out.push(tag::ARR_CHAR);
+            write_elems(out, a, u16::to_be_bytes);
+        }
+        ObjBody::ArrByte(a) => {
+            out.push(tag::ARR_BYTE);
+            write_elems(out, a, i8::to_be_bytes);
+        }
+        // Bool/short/float arrays ship as OTHER with an element-kind byte.
+        ObjBody::ArrBool(a) => {
+            out.extend_from_slice(&[tag::ARR_OTHER, 0]);
+            write_elems(out, a, u8::to_be_bytes);
+        }
+        ObjBody::ArrShort(a) => {
+            out.extend_from_slice(&[tag::ARR_OTHER, 1]);
+            write_elems(out, a, i16::to_be_bytes);
+        }
+        ObjBody::ArrFloat(a) => {
+            out.extend_from_slice(&[tag::ARR_OTHER, 2]);
+            write_elems(out, a, |x: f32| x.to_bits().to_be_bytes());
         }
     }
 }
@@ -211,42 +208,18 @@ pub fn deserialize_value(
     target: IsolateId,
     loader: LoaderId,
 ) -> Result<Value, WireError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let mut seen: Vec<GcRef> = Vec::new();
-    let result = read_value(vm, &mut r, target, loader, &mut seen);
-    // Intermediate objects were pinned as they were created (an
-    // allocation mid-graph may trigger a collection, and `seen` is host
-    // state the collector cannot see); release the pins now.
-    for r in &seen {
-        unpin_ref(vm, *r);
+    let mut d = Decoder {
+        r: Reader { bytes, pos: 0 },
+        target,
+        loader,
+        seen: Vec::new(),
+        pins: Vec::new(),
+    };
+    let result = d.value(vm);
+    for handle in d.pins {
+        vm.unpin(handle);
     }
     result
-}
-
-/// Releases the host-root pin added by `pin_ref` for `r`.
-fn unpin_ref(vm: &mut Vm, r: GcRef) {
-    // Pins are keyed by handle; we recorded them in creation order, but
-    // the cheap and safe inverse is to scan: pin handles are small.
-    // To avoid O(n^2), deserialization records handles alongside `seen`
-    // via the thread-local below.
-    PIN_HANDLES.with(|h| {
-        let mut h = h.borrow_mut();
-        if let Some(handle) = h.remove(&r) {
-            vm.unpin(handle);
-        }
-    });
-}
-
-fn pin_ref(vm: &mut Vm, r: GcRef) {
-    let handle = vm.pin(r);
-    PIN_HANDLES.with(|h| {
-        h.borrow_mut().insert(r, handle);
-    });
-}
-
-thread_local! {
-    static PIN_HANDLES: std::cell::RefCell<std::collections::HashMap<GcRef, usize>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
 }
 
 /// Bounds-checked big-endian byte reader, shared with the checkpoint
@@ -257,195 +230,175 @@ pub(crate) struct Reader<'a> {
     pub(crate) pos: usize,
 }
 
-impl Reader<'_> {
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        let mut buf = [0u8; 4];
-        for b in &mut buf {
-            *b = self.u8()?;
-        }
-        Ok(u32::from_be_bytes(buf))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(((self.u32()? as u64) << 32) | self.u32()? as u64)
-    }
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(((self.u8()? as u16) << 8) | self.u8()? as u16)
-    }
-    pub(crate) fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| WireError::Corrupt("utf8"))?
-            .to_owned();
-        self.pos = end;
+impl<'a> Reader<'a> {
+    /// The next `n` bytes. Fails with `Truncated`, consuming nothing, when
+    /// fewer remain.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let s = self
+            .bytes
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..n))
+            .ok_or(WireError::Truncated)?;
+        self.pos += n;
         Ok(s)
     }
-    /// Bytes left in the stream — the checkpoint decoder validates every
-    /// element count against this before allocating, so a hostile length
-    /// field cannot request an absurd buffer.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
+    }
+    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_be_bytes(self.array()?))
+    }
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_be_bytes(self.array()?))
+    }
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_be_bytes(self.array()?))
+    }
+    /// A length-prefixed UTF-8 string, borrowed from the stream.
+    fn utf8(&mut self) -> Result<&'a str, WireError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::Corrupt("utf8"))
+    }
+    pub(crate) fn str(&mut self) -> Result<String, WireError> {
+        self.utf8().map(str::to_owned)
+    }
+    /// A `u32` count, then that many elements of `W` bytes each, decoded
+    /// by `from_be`. The whole block is bounds-checked before the result
+    /// is allocated.
+    pub(crate) fn elems<T, const W: usize>(
+        &mut self,
+        from_be: impl Fn([u8; W]) -> T,
+    ) -> Result<Box<[T]>, WireError> {
+        let n = self.u32()? as usize;
+        let block = self.take(n.checked_mul(W).ok_or(WireError::Truncated)?)?;
+        Ok(block
+            .chunks_exact(W)
+            .map(|c| {
+                let mut a = [0; W];
+                a.copy_from_slice(c);
+                from_be(a)
+            })
+            .collect())
+    }
+    /// Bytes left in the stream — decoders validate every element count
+    /// against this before allocating, so a hostile length field cannot
+    /// request an absurd buffer.
     pub(crate) fn remaining(&self) -> usize {
         self.bytes.len().saturating_sub(self.pos)
     }
 }
 
-fn read_value(
-    vm: &mut Vm,
-    r: &mut Reader<'_>,
+/// One decode: the stream, where objects go, and every object made so
+/// far (by back-reference id) with the pin that roots it until the decode
+/// ends — an allocation mid-graph may trigger a collection, and these
+/// host-side lists are invisible to the collector.
+struct Decoder<'a> {
+    r: Reader<'a>,
     target: IsolateId,
     loader: LoaderId,
-    seen: &mut Vec<GcRef>,
-) -> Result<Value, WireError> {
-    let t = r.u8()?;
-    Ok(match t {
-        tag::NULL => Value::Null,
-        tag::INT => Value::Int(r.u32()? as i32),
-        tag::LONG => Value::Long(r.u64()? as i64),
-        tag::FLOAT => Value::Float(f32::from_bits(r.u32()?)),
-        tag::DOUBLE => Value::Double(f64::from_bits(r.u64()?)),
-        tag::BACKREF => {
-            let id = r.u32()? as usize;
-            Value::Ref(*seen.get(id).ok_or(WireError::Corrupt("backref"))?)
-        }
-        tag::STRING => {
-            let s = r.str()?;
-            let obj = vm.new_string(target, &s);
-            pin_ref(vm, obj);
-            seen.push(obj);
-            Value::Ref(obj)
-        }
-        tag::OBJECT => {
-            let class_name = r.str()?;
-            let nfields = r.u32()? as usize;
-            let class = vm
-                .load_class(loader, &class_name)
-                .map_err(|_| WireError::UnknownClass(class_name))?;
-            let obj = vm
-                .alloc_object(class, target)
-                .ok_or(WireError::OutOfMemory)?;
-            pin_ref(vm, obj);
-            seen.push(obj);
-            for slot in 0..nfields {
-                let v = read_value(vm, r, target, loader, seen)?;
-                if let ObjBody::Fields(fields) = &mut vm.heap_mut().get_mut(obj).body {
-                    if slot < fields.len() {
-                        fields[slot] = v;
-                    } else {
-                        return Err(WireError::Corrupt("field count"));
-                    }
-                }
+    seen: Vec<GcRef>,
+    pins: Vec<usize>,
+}
+
+impl Decoder<'_> {
+    /// Roots a freshly made object and gives it the next back-reference id.
+    fn keep(&mut self, vm: &mut Vm, obj: GcRef) -> Value {
+        self.pins.push(vm.pin(obj));
+        self.seen.push(obj);
+        Value::Ref(obj)
+    }
+
+    fn value(&mut self, vm: &mut Vm) -> Result<Value, WireError> {
+        let body = match self.r.u8()? {
+            tag::NULL => return Ok(Value::Null),
+            tag::INT => return Ok(Value::Int(self.r.u32()? as i32)),
+            tag::LONG => return Ok(Value::Long(self.r.u64()? as i64)),
+            tag::FLOAT => return Ok(Value::Float(f32::from_bits(self.r.u32()?))),
+            tag::DOUBLE => return Ok(Value::Double(f64::from_bits(self.r.u64()?))),
+            tag::BACKREF => {
+                let id = self.r.u32()? as usize;
+                let obj = self.seen.get(id).ok_or(WireError::Corrupt("backref"))?;
+                return Ok(Value::Ref(*obj));
             }
-            Value::Ref(obj)
-        }
-        tag::ARR_INT | tag::ARR_LONG | tag::ARR_DOUBLE | tag::ARR_CHAR | tag::ARR_BYTE => {
-            let len = r.u32()? as usize;
-            let placeholder = vm
-                .alloc_ref_array(target, "Ljava/lang/Object;", len)
-                .ok_or(WireError::OutOfMemory)?;
-            let (body, desc): (ObjBody, &str) = match t {
-                tag::ARR_INT => {
-                    let mut a = vec![0i32; len];
-                    for x in &mut a {
-                        *x = r.u32()? as i32;
-                    }
-                    (ObjBody::ArrInt(a.into_boxed_slice()), "[I")
-                }
-                tag::ARR_LONG => {
-                    let mut a = vec![0i64; len];
-                    for x in &mut a {
-                        *x = r.u64()? as i64;
-                    }
-                    (ObjBody::ArrLong(a.into_boxed_slice()), "[J")
-                }
-                tag::ARR_DOUBLE => {
-                    let mut a = vec![0f64; len];
-                    for x in &mut a {
-                        *x = f64::from_bits(r.u64()?);
-                    }
-                    (ObjBody::ArrDouble(a.into_boxed_slice()), "[D")
-                }
-                tag::ARR_CHAR => {
-                    let mut a = vec![0u16; len];
-                    for x in &mut a {
-                        *x = r.u16()?;
-                    }
-                    (ObjBody::ArrChar(a.into_boxed_slice()), "[C")
-                }
-                _ => {
-                    let mut a = vec![0i8; len];
-                    for x in &mut a {
-                        *x = r.u8()? as i8;
-                    }
-                    (ObjBody::ArrByte(a.into_boxed_slice()), "[B")
-                }
-            };
-            let obj = vm.heap_mut().get_mut(placeholder);
-            obj.body = body;
-            obj.array_desc = desc.to_owned();
-            pin_ref(vm, placeholder);
-            seen.push(placeholder);
-            Value::Ref(placeholder)
-        }
-        tag::ARR_REF => {
-            let elem_desc = r.str()?;
-            let len = r.u32()? as usize;
-            let arr = vm
-                .alloc_ref_array(target, &elem_desc, len)
-                .ok_or(WireError::OutOfMemory)?;
-            pin_ref(vm, arr);
-            seen.push(arr);
-            for i in 0..len {
-                let v = read_value(vm, r, target, loader, seen)?;
-                if let ObjBody::ArrRef { data, .. } = &mut vm.heap_mut().get_mut(arr).body {
-                    data[i] = v;
-                }
+            tag::STRING => {
+                let s = self.r.utf8()?;
+                let chars: Box<[u16]> = if s.is_ascii() {
+                    s.bytes().map(u16::from).collect()
+                } else {
+                    s.encode_utf16().collect()
+                };
+                let obj = vm.new_string_utf16(self.target, chars);
+                return Ok(self.keep(vm, obj));
             }
-            Value::Ref(arr)
-        }
-        tag::ARR_OTHER => {
-            let kind = r.u8()?;
-            let len = r.u32()? as usize;
-            let placeholder = vm
-                .alloc_ref_array(target, "Ljava/lang/Object;", len)
-                .ok_or(WireError::OutOfMemory)?;
-            let (body, desc): (ObjBody, &str) = match kind {
-                0 => {
-                    let mut a = vec![0u8; len];
-                    for x in &mut a {
-                        *x = r.u8()?;
-                    }
-                    (ObjBody::ArrBool(a.into_boxed_slice()), "[Z")
-                }
-                1 => {
-                    let mut a = vec![0i16; len];
-                    for x in &mut a {
-                        *x = r.u16()? as i16;
-                    }
-                    (ObjBody::ArrShort(a.into_boxed_slice()), "[S")
-                }
-                2 => {
-                    let mut a = vec![0f32; len];
-                    for x in &mut a {
-                        *x = f32::from_bits(r.u32()?);
-                    }
-                    (ObjBody::ArrFloat(a.into_boxed_slice()), "[F")
-                }
+            tag::OBJECT => return self.object(vm),
+            tag::ARR_REF => return self.ref_array(vm),
+            tag::ARR_INT => ObjBody::ArrInt(self.r.elems(i32::from_be_bytes)?),
+            tag::ARR_LONG => ObjBody::ArrLong(self.r.elems(i64::from_be_bytes)?),
+            tag::ARR_DOUBLE => {
+                ObjBody::ArrDouble(self.r.elems(|b| f64::from_bits(u64::from_be_bytes(b)))?)
+            }
+            tag::ARR_CHAR => ObjBody::ArrChar(self.r.elems(u16::from_be_bytes)?),
+            tag::ARR_BYTE => ObjBody::ArrByte(self.r.elems(i8::from_be_bytes)?),
+            tag::ARR_OTHER => match self.r.u8()? {
+                0 => ObjBody::ArrBool(self.r.elems(u8::from_be_bytes)?),
+                1 => ObjBody::ArrShort(self.r.elems(i16::from_be_bytes)?),
+                2 => ObjBody::ArrFloat(self.r.elems(|b| f32::from_bits(u32::from_be_bytes(b)))?),
                 other => return Err(WireError::BadTag(other)),
-            };
-            let obj = vm.heap_mut().get_mut(placeholder);
-            obj.body = body;
-            obj.array_desc = desc.to_owned();
-            pin_ref(vm, placeholder);
-            seen.push(placeholder);
-            Value::Ref(placeholder)
+            },
+            other => return Err(WireError::BadTag(other)),
+        };
+        let arr = vm
+            .alloc_array(self.target, body)
+            .ok_or(WireError::OutOfMemory)?;
+        Ok(self.keep(vm, arr))
+    }
+
+    fn object(&mut self, vm: &mut Vm) -> Result<Value, WireError> {
+        let class_name = self.r.str()?;
+        let nfields = self.r.u32()? as usize;
+        let class = vm
+            .load_class(self.loader, &class_name)
+            .map_err(|_| WireError::UnknownClass(class_name))?;
+        let obj = vm
+            .alloc_object(class, self.target)
+            .ok_or(WireError::OutOfMemory)?;
+        self.keep(vm, obj);
+        for slot in 0..nfields {
+            let v = self.value(vm)?;
+            match &mut vm.heap_mut().get_mut(obj).body {
+                ObjBody::Fields(fields) if slot < fields.len() => fields[slot] = v,
+                _ => return Err(WireError::Corrupt("field count")),
+            }
         }
-        other => return Err(WireError::BadTag(other)),
-    })
+        Ok(Value::Ref(obj))
+    }
+
+    fn ref_array(&mut self, vm: &mut Vm) -> Result<Value, WireError> {
+        let elem_desc = self.r.str()?;
+        let len = self.r.u32()? as usize;
+        // Every element takes at least its tag byte.
+        if len > self.r.remaining() {
+            return Err(WireError::Truncated);
+        }
+        let body = ObjBody::ArrRef {
+            elem_desc,
+            data: vec![Value::Null; len].into_boxed_slice(),
+        };
+        let arr = vm
+            .alloc_array(self.target, body)
+            .ok_or(WireError::OutOfMemory)?;
+        self.keep(vm, arr);
+        for i in 0..len {
+            let v = self.value(vm)?;
+            if let ObjBody::ArrRef { data, .. } = &mut vm.heap_mut().get_mut(arr).body {
+                data[i] = v;
+            }
+        }
+        Ok(Value::Ref(arr))
+    }
 }

@@ -1,6 +1,7 @@
 //! The Miri lane's workload: undefined-behavior checks over the
-//! pointer- and buffer-heavy corners — the wire codec, frame-pool
-//! recycling, and trace-ring wraparound. (The fourth corner, `VmRc`,
+//! pointer- and buffer-heavy corners — the wire codec (strings, bulk
+//! arrays, hostile lengths), frame-pool recycling, and trace-ring
+//! wraparound. (The fourth corner, `VmRc`,
 //! is crate-private and covered by the unit tests in `vmrc.rs`; the CI
 //! lane runs `--lib` alongside this file so Miri sees those too.)
 //!
@@ -9,10 +10,11 @@
 //! `cfg(miri)` (interpretation is ~100x slower); the point is coverage
 //! of each code path, not volume.
 
+use ijvm_core::heap::ObjBody;
 use ijvm_core::prelude::*;
 use ijvm_core::thread::FramePool;
 use ijvm_core::trace::{EventKind, TraceEvent, TraceRing};
-use ijvm_core::wire::{deserialize_value, serialize_value};
+use ijvm_core::wire::{deserialize_value, serialize_value, WireError};
 
 const SIZE: usize = if cfg!(miri) { 16 } else { 1024 };
 
@@ -54,6 +56,47 @@ fn wire_codec_roundtrips_primitives_and_strings() {
     // this lane exists to rule out).
     for cut in 0..bytes.len().min(8) {
         assert!(deserialize_value(&mut vm, &bytes[..cut], dst, dst_loader).is_err() || cut == 0);
+    }
+}
+
+/// The block reader and writer for primitive arrays: bodies round-trip,
+/// and a length claiming more elements than the stream holds fails
+/// before anything is allocated (a downsized copy of the `wire_codec`
+/// suite's hostile-length test).
+#[test]
+fn wire_codec_bulk_arrays_and_hostile_lengths() {
+    let mut vm = ijvm_jsl::boot(VmOptions::isolated());
+    let iso = vm.create_isolate("receiver");
+    let loader = vm.loader_of(iso).unwrap();
+    for body in [
+        ObjBody::ArrInt((0..SIZE as i32).map(|i| i * -7).collect()),
+        ObjBody::ArrChar((0..SIZE as u16).collect()),
+        ObjBody::ArrFloat((0..SIZE).map(|i| i as f32 / 3.0).collect()),
+        ObjBody::ArrDouble((0..SIZE).map(|i| i as f64 * 1e10).collect()),
+    ] {
+        let arr = vm.alloc_array(iso, body.clone()).unwrap();
+        let mut bytes = Vec::new();
+        serialize_value(&vm, Value::Ref(arr), &mut bytes);
+        let Ok(Value::Ref(copy)) = deserialize_value(&mut vm, &bytes, iso, loader) else {
+            panic!("array did not round-trip");
+        };
+        assert_eq!(
+            format!("{:?}", vm.heap().get(copy).body),
+            format!("{body:?}")
+        );
+    }
+
+    let claim = (SIZE as u32 * 1000).to_be_bytes();
+    for bytes in [
+        [&[8][..], &claim, &[0; 4]].concat(),
+        [&[14, 2][..], &claim, &[0; 4]].concat(),
+    ] {
+        let used = vm.heap().used_bytes();
+        assert_eq!(
+            deserialize_value(&mut vm, &bytes, iso, loader),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(vm.heap().used_bytes(), used);
     }
 }
 

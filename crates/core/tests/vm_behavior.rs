@@ -303,6 +303,20 @@ fn pinned_objects_survive_collection_and_unpinned_die() {
 }
 
 #[test]
+fn pin_takes_the_lowest_free_handle() {
+    let mut vm = boot(VmOptions::isolated());
+    let iso = vm.create_isolate("t");
+    let s = vm.new_string(iso, "x");
+    let handles: Vec<usize> = (0..4).map(|_| vm.pin(s)).collect();
+    vm.unpin(handles[2]);
+    vm.unpin(handles[1]);
+    vm.unpin(handles[1]);
+    assert_eq!(vm.pin(s), handles[1]);
+    assert_eq!(vm.pin(s), handles[2]);
+    assert_eq!(vm.pin(s), handles[3] + 1);
+}
+
+#[test]
 fn interned_strings_are_identical_within_an_isolate() {
     let mut vm = boot(VmOptions::isolated());
     let a = vm.create_isolate("a");
@@ -549,4 +563,94 @@ fn metadata_footprint_grows_with_isolates() {
         two > one,
         "mirrors for a second isolate cost memory ({one} -> {two})"
     );
+}
+
+// ---------------------------------------------------------------------
+// Strings
+// ---------------------------------------------------------------------
+
+#[test]
+fn string_natives_are_exact_on_unpaired_surrogates() {
+    let mut vm = boot(VmOptions::isolated());
+    let iso = vm.create_isolate("t");
+    let src = r#"
+        class Str {
+            static String sub(String s) { return s.substring(1, 3); }
+            static String cat(String s, String t) { return s.concat(t); }
+            static int eq(String s, String t) { if (s.equals(t)) return 1; return 0; }
+            static int hash(String s) { return s.hashCode(); }
+            static int find(String s) { return s.indexOf(55296); }
+        }
+    "#;
+    let class = load(&mut vm, iso, src, "Str");
+    let body = [u16::from(b'a'), 0xD800, u16::from(b'b')];
+    let s = vm.new_string_utf16(iso, body.into());
+    let lossy = vm.new_string(iso, "a\u{FFFD}b");
+    let call = |vm: &mut Vm, name: &str, desc: &str, args: Vec<Value>| {
+        vm.call_static_as(class, name, desc, args, iso)
+            .unwrap()
+            .unwrap()
+    };
+    let chars = |vm: &Vm, v: Value| vm.string_chars(v.as_ref().unwrap()).unwrap().to_vec();
+
+    let sub = call(
+        &mut vm,
+        "sub",
+        "(Ljava/lang/String;)Ljava/lang/String;",
+        vec![Value::Ref(s)],
+    );
+    assert_eq!(chars(&vm, sub), [0xD800, u16::from(b'b')]);
+    let cat = call(
+        &mut vm,
+        "cat",
+        "(Ljava/lang/String;Ljava/lang/String;)Ljava/lang/String;",
+        vec![Value::Ref(s), sub],
+    );
+    assert_eq!(
+        chars(&vm, cat),
+        [
+            u16::from(b'a'),
+            0xD800,
+            u16::from(b'b'),
+            0xD800,
+            u16::from(b'b')
+        ]
+    );
+    let eq_desc = "(Ljava/lang/String;Ljava/lang/String;)I";
+    let copy = vm.new_string_utf16(iso, body.into());
+    assert_eq!(
+        call(
+            &mut vm,
+            "eq",
+            eq_desc,
+            vec![Value::Ref(s), Value::Ref(copy)]
+        ),
+        Value::Int(1)
+    );
+    assert_eq!(
+        call(
+            &mut vm,
+            "eq",
+            eq_desc,
+            vec![Value::Ref(s), Value::Ref(lossy)]
+        ),
+        Value::Int(0)
+    );
+    let java_hash = body
+        .iter()
+        .fold(0i32, |h, &c| h.wrapping_mul(31).wrapping_add(i32::from(c)));
+    let hash = call(
+        &mut vm,
+        "hash",
+        "(Ljava/lang/String;)I",
+        vec![Value::Ref(s)],
+    );
+    assert_eq!(hash, Value::Int(java_hash));
+    let find = call(
+        &mut vm,
+        "find",
+        "(Ljava/lang/String;)I",
+        vec![Value::Ref(s)],
+    );
+    assert_eq!(find, Value::Int(1));
 }

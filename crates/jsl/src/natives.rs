@@ -166,12 +166,15 @@ fn register_system(vm: &mut Vm) {
                     message: "arraycopy".to_owned(),
                 };
             };
-            let (spos, dpos, len) = (
-                args[1].as_int() as usize,
-                args[3].as_int() as usize,
-                args[4].as_int() as usize,
-            );
-            match copy_array(vm, src, spos, dst, dpos, len) {
+            let (spos, dpos, len) = (args[1].as_int(), args[3].as_int(), args[4].as_int());
+            if spos < 0 || dpos < 0 || len < 0 {
+                return NativeResult::Throw {
+                    class_name: "java/lang/ArrayIndexOutOfBoundsException",
+                    message: format!("arraycopy({spos}, {dpos}, {len})"),
+                };
+            }
+            // Non-negative `i32`s: the sums below cannot overflow `usize`.
+            match copy_array(vm, src, spos as usize, dst, dpos as usize, len as usize) {
                 Ok(()) => ret_void(),
                 Err(msg) => NativeResult::Throw {
                     class_name: "java/lang/ArrayIndexOutOfBoundsException",
@@ -557,12 +560,12 @@ fn register_stringbuilder(vm: &mut Vm) {
         Arc::new(|vm, tid, args| {
             let sb = args[0].as_ref().expect("receiver");
             let (buf, len) = sb_state(vm, sb);
-            let s = match &vm.heap().get(buf).body {
-                ObjBody::ArrChar(a) => String::from_utf16_lossy(&a[..len as usize]),
-                _ => String::new(),
+            let chars: Box<[u16]> = match &vm.heap().get(buf).body {
+                ObjBody::ArrChar(a) => a[..len as usize].into(),
+                _ => Box::default(),
             };
             let iso = vm.current_isolate(tid);
-            let out = vm.new_string(iso, &s);
+            let out = vm.new_string_utf16(iso, chars);
             ret(Value::Ref(out))
         }),
     );
@@ -576,7 +579,7 @@ fn values_equal(vm: &Vm, a: Value, b: Value) -> bool {
             if x == y {
                 return true;
             }
-            match (vm.read_string(x), vm.read_string(y)) {
+            match (vm.string_chars(x), vm.string_chars(y)) {
                 (Some(sx), Some(sy)) => sx == sy,
                 _ => false,
             }

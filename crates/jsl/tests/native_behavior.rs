@@ -5,7 +5,17 @@ use ijvm_core::vm::Vm;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 
 fn run(source: &str, class: &str, method: &str, args: Vec<Value>) -> (Vm, Option<Value>) {
-    let mut vm = ijvm_jsl::boot(VmOptions::isolated());
+    run_on(VmOptions::isolated(), source, class, method, args)
+}
+
+fn run_on(
+    options: VmOptions,
+    source: &str,
+    class: &str,
+    method: &str,
+    args: Vec<Value>,
+) -> (Vm, Option<Value>) {
+    let mut vm = ijvm_jsl::boot(options);
     // The first isolate is the privileged Isolate0 (the runtime's); the
     // code under test runs as an ordinary bundle isolate.
     let _isolate0 = vm.create_isolate("runtime");
@@ -65,6 +75,38 @@ fn arraycopy_out_of_range_throws() {
     "#;
     let (_, out) = run(src, "Copy", "f", vec![Value::Int(0)]);
     assert_eq!(out, Some(Value::Int(1)));
+}
+
+#[test]
+fn arraycopy_rejects_negative_and_overflowing_ranges() {
+    // Case n selects the bad argument; each must throw, never reach the
+    // host as a slice panic.
+    let src = r#"
+        class Copy {
+            static int f(int n) {
+                int[] a = new int[4];
+                int[] b = new int[4];
+                try {
+                    if (n == 0) System.arraycopy(a, -1, b, 0, 1);
+                    if (n == 1) System.arraycopy(a, 0, b, -1, 1);
+                    if (n == 2) System.arraycopy(a, 0, b, 0, -1);
+                    if (n == 3) System.arraycopy(a, 1, b, 0, 2147483647);
+                    if (n == 4) System.arraycopy(a, 0, b, 2147483647, 1);
+                    if (n == 5) System.arraycopy(a, -2147483647 - 1, b, 0, 1);
+                    return -1;
+                } catch (ArrayIndexOutOfBoundsException e) {
+                    return b[0] + 1;
+                }
+            }
+        }
+    "#;
+    for engine in [EngineKind::Raw, EngineKind::Threaded] {
+        for case in 0..6 {
+            let options = VmOptions::isolated().with_engine(engine);
+            let (_, out) = run_on(options, src, "Copy", "f", vec![Value::Int(case)]);
+            assert_eq!(out, Some(Value::Int(1)), "{engine:?}, case {case}");
+        }
+    }
 }
 
 #[test]
