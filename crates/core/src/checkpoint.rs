@@ -950,6 +950,12 @@ pub fn restore(
     }
     vm.heap = Heap::from_parts(slots, free);
     vm.threads = threads;
+    // `monitors_held` is not in the image: recount it from the owners.
+    for (_, obj) in vm.heap.iter() {
+        if let Some(owner) = obj.monitor.as_ref().and_then(|m| m.owner) {
+            vm.threads[owner.0 as usize].monitors_held += 1;
+        }
+    }
     vm.run_queue = run_queue;
     vm.port_restore(port);
     vm.vclock = misc.vclock;
@@ -1364,6 +1370,7 @@ fn dec_threads(bytes: &[u8], vm: &Vm) -> Result<ThreadParts, CheckpointError> {
             insns_since_switch,
             frame_pool: FramePool::default(),
             is_service_pump,
+            monitors_held: 0,
         });
     }
     let run_queue = r_tid_list(r)?;

@@ -151,6 +151,11 @@ impl Vm {
             if self.heap.get(r).mark {
                 self.heap.get_mut(r).mark = false;
             } else {
+                // A collected monitor is owned by no one: keep the owner's
+                // count equal to what restore recounts from the heap.
+                if let Some(owner) = self.heap.get(r).monitor.as_ref().and_then(|m| m.owner) {
+                    self.threads[owner.0 as usize].monitors_held -= 1;
+                }
                 self.heap.free(r);
             }
         }

@@ -1613,8 +1613,9 @@ pub(crate) fn finish_thread(vm: &mut Vm, tid: ThreadId, value: Option<Value>) {
     th.state = ThreadState::Terminated;
     th.result = value;
     // Drop the frames *and* the pool: a terminated thread never invokes
-    // again, so recycling here would strand buffers forever (terminated
-    // VmThreads stay in `vm.threads`).
+    // again, and its slot stays in `vm.threads` until the host gives it
+    // back (`Vm::release_thread`), which for a Java thread or a call that
+    // returned a reference is never.
     th.frames.clear();
     th.frame_pool = crate::thread::FramePool::default();
     vm.trace_emit(

@@ -30,6 +30,7 @@ pub(crate) fn monitor_enter(vm: &mut Vm, tid: ThreadId, obj: GcRef) -> EnterResu
         None => {
             mon.owner = Some(tid);
             mon.count = 1;
+            vm.thread_mut(tid).monitors_held += 1;
             EnterResult::Acquired
         }
         Some(owner) if owner == tid => {
@@ -58,7 +59,9 @@ pub(crate) fn monitor_exit(vm: &mut Vm, tid: ThreadId, obj: GcRef) -> Result<(),
     mon.count -= 1;
     if mon.count == 0 {
         mon.owner = None;
-        if let Some(next) = mon.entry_queue.pop_front() {
+        let next = mon.entry_queue.pop_front();
+        vm.thread_mut(tid).monitors_held -= 1;
+        if let Some(next) = next {
             // Hand-off is not immediate: the woken thread re-executes its
             // monitorenter and contends again (deterministic round-robin).
             vm.wake(next);
@@ -83,7 +86,9 @@ pub(crate) fn monitor_wait(vm: &mut Vm, tid: ThreadId, obj: GcRef) -> Result<u32
     mon.count = 0;
     mon.wait_set.push_back(tid);
     let next = mon.entry_queue.pop_front();
-    vm.thread_mut(tid).state = ThreadState::WaitingOnMonitor(obj);
+    let t = vm.thread_mut(tid);
+    t.state = ThreadState::WaitingOnMonitor(obj);
+    t.monitors_held -= 1;
     if let Some(next) = next {
         vm.wake(next);
     }

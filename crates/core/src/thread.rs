@@ -260,6 +260,13 @@ pub struct VmThread {
     /// instead of terminating, and its handler failures become service
     /// replies instead of uncaught-exception thread deaths.
     pub is_service_pump: bool,
+    /// Distinct monitors this thread owns (not their recursion counts),
+    /// kept by `monitorenter`/`monitorexit`/`wait` and by the
+    /// collector's sweep. Not serialized: restore recounts it from the
+    /// heap's monitor owners. A thread that finishes while it still owns
+    /// a monitor keeps its slot ([`crate::vm::Vm::release_thread`]), so
+    /// the next thread with its id cannot inherit the lock.
+    pub monitors_held: u32,
 }
 
 impl VmThread {
@@ -280,6 +287,7 @@ impl VmThread {
             insns_since_switch: 0,
             frame_pool: FramePool::default(),
             is_service_pump: false,
+            monitors_held: 0,
         }
     }
 

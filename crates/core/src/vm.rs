@@ -1045,7 +1045,11 @@ impl Vm {
         &mut self.threads[tid.0 as usize]
     }
 
-    /// Number of threads ever created.
+    /// Number of thread slots: live threads plus finished ones not yet
+    /// given back ([`Vm::release_thread`]). Slots are reused, so this is
+    /// not the number of threads ever created; that count is
+    /// [`ResourceStats::threads_created`](crate::accounting::ResourceStats::threads_created),
+    /// per creating isolate.
     pub fn thread_count(&self) -> usize {
         self.threads.len()
     }
@@ -1256,6 +1260,13 @@ impl Vm {
     }
 
     /// Like [`Vm::call_static`] with an explicit calling isolate.
+    ///
+    /// The call runs on a fresh thread whose slot is given back once its
+    /// outcome is read ([`Vm::release_thread`]), so a long-lived VM's
+    /// thread table does not grow with the calls it serves. A call that
+    /// returns a reference keeps its slot: the finished thread's result is
+    /// what roots the object until the host pins it and clears the slot
+    /// ([`Vm::clear_thread_result`]).
     pub fn call_static_as(
         &mut self,
         class: ClassId,
@@ -1281,7 +1292,37 @@ impl Vm {
             RunOutcome::BudgetExhausted => return Err(VmError::BudgetExhausted),
             RunOutcome::Idle => {}
         }
-        self.thread_outcome(tid)
+        self.release_thread(tid)
+    }
+
+    /// The outcome of a finished thread, exactly as [`Vm::thread_outcome`]
+    /// reports it, and gives the thread's slot back when nothing can name
+    /// it again. Slots are freed in stack order: the slot is popped only
+    /// when `tid` is the last one, the thread has terminated, it is not a
+    /// service pump, no guest `Thread` object can join or name it, its
+    /// result is not a reference (the slot would be that object's only
+    /// root) and it owns no monitor. Otherwise the slot stays. The next
+    /// spawn reuses a popped id, so a released `tid` must not be used
+    /// again: release only threads the caller spawned itself, never a
+    /// guest-started one, whose `Thread` object keeps its id.
+    pub fn release_thread(&mut self, tid: ThreadId) -> Result<Option<Value>> {
+        let outcome = self.thread_outcome(tid);
+        let releasable = self.threads.last().is_some_and(|t| {
+            t.id == tid
+                && t.is_terminated()
+                && !t.is_service_pump
+                && t.thread_obj.is_none()
+                && !matches!(t.result, Some(Value::Ref(_)))
+                && t.monitors_held == 0
+        });
+        if releasable {
+            self.threads.pop();
+            // A budget-cut run can leave a stale entry for a finished
+            // thread queued; drop it so the id's next owner is not
+            // scheduled twice.
+            self.run_queue.retain(|&q| q != tid);
+        }
+        outcome
     }
 
     /// The outcome of a finished thread, as [`Vm::call_static`] reports

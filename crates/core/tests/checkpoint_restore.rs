@@ -676,6 +676,114 @@ fn restore_then_terminate_reclaims_everything() {
     );
 }
 
+/// Host calls reuse released thread slots by position, so a VM
+/// captured between two batches of host calls and restored under the
+/// other engine must end the second batch in the same image as the VM
+/// that was never captured. Each batch makes int calls (released), a
+/// failing call (released), an object-returning call (kept: it roots
+/// the object) and, last, a call that returns still owning a monitor
+/// (kept). The restored VM recounts that owner's monitors from the heap,
+/// so an explicit release of the owner's slot is refused on both copies.
+#[test]
+fn host_call_batches_image_identically_across_restore() {
+    use ijvm_classfile::{AccessFlags, ClassBuilder, Opcode};
+
+    let options = lane_options(QUANTUM);
+    let other = if engine_lane().0 == EngineKind::Raw {
+        EngineKind::Threaded
+    } else {
+        EngineKind::Raw
+    };
+    let mut vm = ijvm_jsl::boot(options.clone());
+    let iso = vm.create_isolate("host");
+    let loader = vm.loader_of(iso).unwrap();
+    let src = r#"
+        class H {
+            static int n = 0;
+            static int inc(int x) { n = n + x; return n; }
+            static Object make() { return new H(); }
+            static int boom(int x) { throw new IllegalStateException("boom " + x); }
+        }
+    "#;
+    for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
+        vm.add_class_bytes(loader, &name, bytes);
+    }
+    let mut cb = ClassBuilder::new("Locks", "java/lang/Object", AccessFlags::PUBLIC);
+    let mut m = cb.method(
+        "hold",
+        "(Ljava/lang/Object;)I",
+        AccessFlags(AccessFlags::PUBLIC.0 | AccessFlags::STATIC.0),
+    );
+    m.aload(0);
+    m.op(Opcode::Monitorenter);
+    m.const_int(7);
+    m.op(Opcode::Ireturn);
+    m.done().unwrap();
+    let bytes = ijvm_classfile::writer::write_class(&cb.build().unwrap()).unwrap();
+    vm.add_class_bytes(loader, "Locks", bytes);
+    let h = vm.load_class(loader, "H").unwrap();
+    let locks = vm.load_class(loader, "Locks").unwrap();
+
+    let batch = |vm: &mut Vm, k: i32| {
+        let lock = vm.new_string(iso, &format!("lock{k}"));
+        vm.pin(lock);
+        let mut results = Vec::new();
+        for x in 0..20 {
+            let r = vm.call_static_as(h, "inc", "(I)I", vec![Value::Int(k * 100 + x)], iso);
+            results.push(format!("{r:?}"));
+        }
+        let err = vm
+            .call_static_as(h, "boom", "(I)I", vec![Value::Int(k)], iso)
+            .unwrap_err();
+        results.push(err.to_string());
+        let obj = vm
+            .call_static_as(h, "make", "()Ljava/lang/Object;", vec![], iso)
+            .unwrap();
+        results.push(format!("{obj:?}"));
+        let held = vm.call_static_as(
+            locks,
+            "hold",
+            "(Ljava/lang/Object;)I",
+            vec![Value::Ref(lock)],
+            iso,
+        );
+        results.push(format!("{held:?}"));
+        (results, vm.thread_count())
+    };
+
+    let first = batch(&mut vm, 0);
+    let image = vm.checkpoint().expect("a host-held VM is quiescent");
+    let mut restored = ijvm_core::checkpoint::restore(
+        &image,
+        options.with_engine(other),
+        ijvm_jsl::install_natives,
+    )
+    .expect("image restores under the other engine");
+    assert_eq!(restored.thread_count(), first.1);
+
+    let mut finals = Vec::new();
+    for vm in [&mut vm, &mut restored] {
+        let owner = ThreadId(vm.thread_count() as u32 - 1);
+        assert_eq!(vm.release_thread(owner).unwrap(), Some(Value::Int(7)));
+        assert_eq!(
+            vm.thread_count(),
+            first.1,
+            "the monitor owner keeps its slot"
+        );
+        let second = batch(vm, 1);
+        finals.push((second, vm.checkpoint().unwrap().into_bytes()));
+    }
+    assert_eq!(finals[0].0, finals[1].0, "second batch results");
+    // Two slots per batch stay: the object root and the monitor owner.
+    assert_eq!(finals[0].0 .1, first.1 + 2);
+    assert!(
+        finals[0].1 == finals[1].1,
+        "final images differ ({} vs {} bytes)",
+        finals[0].1.len(),
+        finals[1].1.len()
+    );
+}
+
 /// A small but fully populated donor image for hostile-input tests.
 fn fuzz_image_bytes() -> &'static [u8] {
     static IMG: OnceLock<Vec<u8>> = OnceLock::new();

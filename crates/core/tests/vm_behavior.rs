@@ -418,7 +418,8 @@ fn terminated_isolate_becomes_dead_once_unreferenced() {
     assert_eq!(vm.isolate_state(iso).unwrap(), IsolateState::Terminating);
     vm.unpin(pin);
     // The factory thread's result slot also roots the object until
-    // cleared (finished threads keep their results for the host).
+    // cleared: a call that returns a reference keeps its thread slot
+    // (`Vm::release_thread`), and the result in it is a GC root.
     for t in 0..vm.thread_count() {
         vm.clear_thread_result(ThreadId(t as u32));
     }

@@ -273,10 +273,15 @@ impl Framework {
     }
 
     fn lifecycle_call(&mut self, id: BundleId, method: &str) -> Result<RunOutcome> {
-        if self.spawn_lifecycle(id, method)?.is_none() {
+        let Some(tid) = self.spawn_lifecycle(id, method)? else {
             return Ok(RunOutcome::Idle);
-        }
-        Ok(self.vm.run(Some(self.lifecycle_budget)))
+        };
+        let out = self.vm.run(Some(self.lifecycle_budget));
+        // A finished activator gives its thread slot back (its outcome is
+        // not reported); a hung one (budget exhausted) keeps running on
+        // its own thread, as rule 1 requires, and keeps the slot.
+        let _ = self.vm.release_thread(tid);
+        Ok(out)
     }
 
     /// Starts a bundle (runs its activator's `start` on a fresh thread).
@@ -321,6 +326,7 @@ impl Framework {
 
         // StoppedBundleEvent delivery, each on its own thread.
         let listeners: Vec<(u32, usize)> = self.state.lock().unwrap().listeners.clone();
+        let mut events = Vec::new();
         for (owner, pin) in listeners {
             if owner == id.0 {
                 continue;
@@ -335,7 +341,7 @@ impl Framework {
                 // deliver the dying bundle's id.
                 let lclass = self.vm.heap().get(listener).class;
                 if let Some(index) = self.vm.class(lclass).find_method("bundleStopped", "(I)V") {
-                    let _ = self.vm.spawn_thread(
+                    if let Ok(tid) = self.vm.spawn_thread(
                         "bundle-stopped-event",
                         MethodRef {
                             class: lclass,
@@ -343,12 +349,19 @@ impl Framework {
                         },
                         vec![Value::Ref(listener), Value::Int(id.0 as i32)],
                         owner_iso,
-                    );
+                    ) {
+                        events.push(tid);
+                    }
                 }
             }
         }
         let budget = self.lifecycle_budget;
         let _ = self.vm.run(Some(budget));
+        // Finished event threads give their slots back, last spawned
+        // first, since only the last slot can be popped.
+        for tid in events.into_iter().rev() {
+            let _ = self.vm.release_thread(tid);
+        }
 
         // Terminate the isolate (stack patching + poisoning, §3.3).
         self.vm.terminate_isolate(isolate)?;

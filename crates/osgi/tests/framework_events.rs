@@ -138,3 +138,77 @@ fn memory_overhead_is_isolated_mode_only() {
         overhead * 100.0
     );
 }
+
+#[test]
+fn kill_and_reinstall_reuses_thread_slots() {
+    // Each cycle runs an activator and a bundle-stopped event on fresh
+    // threads (paper §3.4 rules 1 and 3). Both give their slots back once
+    // finished, so the thread table stops growing after the first cycle.
+    let mut fw = Framework::new(VmOptions::isolated());
+    let watcher = fw
+        .install_bundle(
+            BundleDescriptor::from_source(
+                "watcher",
+                "wa",
+                r#"
+                class Watch implements BundleListener {
+                    static int stopped = 0;
+                    public void bundleStopped(int id) { stopped = stopped + 1; }
+                }
+                class Activator {
+                    static void start(BundleContext ctx) {
+                        ctx.addBundleListener(new Watch());
+                    }
+                }
+                "#,
+                Some("Activator"),
+                vec![],
+                &[],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    fw.start_bundle(watcher).unwrap();
+
+    const CYCLES: usize = 20;
+    let mut slots = Vec::new();
+    for _ in 0..CYCLES {
+        let doomed = fw
+            .install_bundle(
+                BundleDescriptor::from_source(
+                    "doomed",
+                    "do",
+                    r#"
+                    class Plain { int version() { return 1; } }
+                    class Activator {
+                        static void start(BundleContext ctx) {
+                            ctx.registerService("plain", new Plain());
+                        }
+                    }
+                    "#,
+                    Some("Activator"),
+                    vec![],
+                    &[],
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        assert_eq!(fw.start_bundle(doomed).unwrap(), RunOutcome::Idle);
+        fw.kill_bundle(doomed).unwrap();
+        fw.vm_mut().collect_garbage(None);
+        slots.push(fw.vm().thread_count());
+    }
+    assert!(
+        slots.iter().all(|&n| n == slots[0]),
+        "thread slots per cycle: {slots:?}"
+    );
+    let created: u64 = fw
+        .vm()
+        .metrics()
+        .isolates
+        .iter()
+        .map(|s| s.stats.threads_created)
+        .sum();
+    // The watcher's activator, then one activator and one event per cycle.
+    assert_eq!(created, 1 + 2 * CYCLES as u64, "threads created");
+}
