@@ -51,7 +51,7 @@ fn copy_ref(
     // Strings copy by value (cheapest correct behaviour across isolates).
     if let Some(chars) = vm.string_chars(r) {
         let chars = chars.into();
-        let copied = vm.new_string_utf16(target, chars);
+        let copied = vm.new_string_utf16(target, chars)?;
         pins.push(vm.pin(copied));
         seen.insert(r, copied);
         return Some(copied);
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn copies_strings_and_arrays() {
         let (mut vm, a, b) = vm_with_classes("class Empty { }");
-        let s = vm.new_string(a, "shared text");
+        let s = vm.new_string(a, "shared text").expect("heap has room");
         let copied = copy_test_helper(&mut vm, s, b);
         assert_ne!(copied, s);
         assert_eq!(vm.read_string(copied).unwrap(), "shared text");

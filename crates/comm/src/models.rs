@@ -372,17 +372,16 @@ fn run_rmi(fx: &mut Fixture, calls: u32) -> i64 {
     let mut socket_b: Vec<u8> = Vec::new();
     for i in 0..calls {
         // Marshal the request envelope: the metadata strings are guest
-        // objects, as a real RMI stub would marshal them.
-        let service = fx.vm.new_string(fx.caller_iso, "shape-service");
-        let method = fx.vm.new_string(fx.caller_iso, "moveTo");
-        let descriptor = fx.vm.new_string(fx.caller_iso, "(I)I");
+        // objects, as a real RMI stub would marshal them. Each is written
+        // before the next is made: a string allocation may collect, and
+        // a host local is not a root.
         let mut wire = Vec::new();
-        for part in [
-            Value::Ref(service),
-            Value::Ref(method),
-            Value::Ref(descriptor),
-        ] {
-            serialize_value(&fx.vm, part, &mut wire);
+        for part in ["shape-service", "moveTo", "(I)I"] {
+            let s = fx
+                .vm
+                .new_string(fx.caller_iso, part)
+                .expect("heap has room");
+            serialize_value(&fx.vm, Value::Ref(s), &mut wire);
         }
         serialize_value(&fx.vm, Value::Int(i as i32), &mut wire);
         loopback(&mut socket_a, &mut socket_b, &wire);
@@ -415,7 +414,10 @@ fn run_rmi(fx: &mut Fixture, calls: u32) -> i64 {
         let result = fx.vm.thread_result(tid).expect("rmi call result");
 
         // Marshal the response envelope.
-        let status = fx.vm.new_string(fx.callee_iso, "ok");
+        let status = fx
+            .vm
+            .new_string(fx.callee_iso, "ok")
+            .expect("heap has room");
         let mut wire = Vec::new();
         serialize_value(&fx.vm, Value::Ref(status), &mut wire);
         serialize_value(&fx.vm, result, &mut wire);

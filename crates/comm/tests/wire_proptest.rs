@@ -43,7 +43,7 @@ fn build(vm: &mut Vm, iso: IsolateId, t: &Tree) -> Value {
         Tree::Int(v) => Value::Int(*v),
         Tree::Long(v) => Value::Long(*v),
         Tree::Double(v) => Value::Double(*v),
-        Tree::Str(s) => Value::Ref(vm.new_string(iso, s)),
+        Tree::Str(s) => Value::Ref(vm.new_string(iso, s).expect("heap has room")),
         Tree::IntArray(xs) => Value::Ref(
             vm.alloc_array(iso, ObjBody::ArrInt(xs.clone().into_boxed_slice()))
                 .unwrap(),

@@ -274,8 +274,7 @@ fn register_core_natives(vm: &mut Vm) {
             let r = args[0].as_ref().expect("receiver");
             let class_name = vm.class(vm.heap().get(r).class).name.to_string();
             let iso = vm.thread(tid).expect("current thread").current_isolate;
-            let s = vm.new_string(iso, &format!("{class_name}@{}", r.0));
-            NativeResult::Return(Some(Value::Ref(s)))
+            string_result(vm.new_string(iso, &format!("{class_name}@{}", r.0)))
         }),
     );
     vm.register_native(
@@ -326,8 +325,7 @@ fn register_core_natives(vm: &mut Vm) {
                 None => sa.iter().copied().chain("null".encode_utf16()).collect(),
             };
             let iso = vm.thread(tid).expect("current thread").current_isolate;
-            let r = vm.new_string_utf16(iso, chars);
-            NativeResult::Return(Some(Value::Ref(r)))
+            string_result(vm.new_string_utf16(iso, chars))
         }),
     );
     vm.register_native(
@@ -347,8 +345,7 @@ fn register_core_natives(vm: &mut Vm) {
             }
             let sub: Box<[u16]> = chars[from as usize..to as usize].into();
             let iso = vm.thread(tid).expect("current thread").current_isolate;
-            let out = vm.new_string_utf16(iso, sub);
-            NativeResult::Return(Some(Value::Ref(out)))
+            string_result(vm.new_string_utf16(iso, sub))
         }),
     );
     vm.register_native(
@@ -376,10 +373,21 @@ fn register_core_natives(vm: &mut Vm) {
             let r = args[0].as_ref().expect("receiver");
             let s = vm.read_string(r).unwrap_or_default();
             let iso = vm.thread(tid).expect("current thread").current_isolate;
-            let interned = vm.intern_string(iso, &s);
-            NativeResult::Return(Some(Value::Ref(interned)))
+            string_result(vm.intern_string(iso, &s))
         }),
     );
+}
+
+/// Returns a freshly allocated string, or throws `OutOfMemoryError` when
+/// the allocation failed.
+fn string_result(r: Option<crate::value::GcRef>) -> NativeResult {
+    match r {
+        Some(r) => NativeResult::Return(Some(Value::Ref(r))),
+        None => NativeResult::Throw {
+            class_name: "java/lang/OutOfMemoryError",
+            message: "Java heap space".to_owned(),
+        },
+    }
 }
 
 /// Reads a `[C` payload directly (helper for hosts and the JSL).

@@ -120,15 +120,7 @@ pub(crate) fn h_anewarray(c: &mut Ctx<'_>, op: u64) -> Flow {
         ClassTarget::Array(d) => d.clone(),
     };
     let iso = c.vm.threads[c.t].current_isolate;
-    let size = crate::heap::OBJECT_HEADER_BYTES + len as usize * 8;
-    tchk!(c, c.vm.check_heap(size, iso));
-    let desc = format!("[{elem_desc}");
-    let obj_class = c.vm.well_known.object.expect("bootstrap installed");
-    let body = ObjBody::ArrRef {
-        elem_desc,
-        data: vec![Value::Null; len as usize].into_boxed_slice(),
-    };
-    let r = c.vm.alloc_raw(obj_class, iso, body, &desc);
+    let r = tchk!(c, c.vm.alloc_zeroed_array(iso, &elem_desc, len as usize));
     tpush!(c, Value::Ref(r));
     Flow::Next
 }

@@ -146,19 +146,14 @@ impl Vm {
             }
         }
 
-        // Sweep.
-        for r in self.heap.handles() {
-            if self.heap.get(r).mark {
-                self.heap.get_mut(r).mark = false;
-            } else {
-                // A collected monitor is owned by no one: keep the owner's
-                // count equal to what restore recounts from the heap.
-                if let Some(owner) = self.heap.get(r).monitor.as_ref().and_then(|m| m.owner) {
-                    self.threads[owner.0 as usize].monitors_held -= 1;
-                }
-                self.heap.free(r);
+        // Sweep. A collected monitor is owned by no one: keep the owner's
+        // count equal to what restore recounts from the heap.
+        let threads = &mut self.threads;
+        self.heap.sweep(|dead| {
+            if let Some(owner) = dead.monitor.as_ref().and_then(|m| m.owner) {
+                threads[owner.0 as usize].monitors_held -= 1;
             }
-        }
+        });
 
         // Terminating isolates become Dead once no object of their classes
         // survives (paper §3.3: "an isolate is only removed from memory

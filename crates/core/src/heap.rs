@@ -166,15 +166,6 @@ impl Heap {
         }
     }
 
-    /// Frees one object (collector use).
-    pub fn free(&mut self, r: GcRef) {
-        if let Some(obj) = self.slots[r.0 as usize].take() {
-            self.used_bytes -= obj.size_bytes();
-            self.live_objects -= 1;
-            self.free.push(r.0);
-        }
-    }
-
     /// Immutable access; panics on dangling handles (a VM bug, since the
     /// collector only frees unreachable objects).
     pub fn get(&self, r: GcRef) -> &Object {
@@ -199,13 +190,23 @@ impl Heap {
             .filter_map(|(i, s)| s.as_ref().map(|o| (GcRef(i as u32), o)))
     }
 
-    /// Iterates over all live handles (used by the sweep phase).
-    pub fn handles(&self) -> Vec<GcRef> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| GcRef(i as u32)))
-            .collect()
+    /// The sweep phase: clears the mark of every marked object and frees
+    /// every unmarked one, in ascending slot order (so the free list —
+    /// and the allocation order after it — is a function of the heap
+    /// alone). `on_free` sees each object just before it is freed.
+    pub(crate) fn sweep(&mut self, mut on_free: impl FnMut(&Object)) {
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            let Some(obj) = slot else { continue };
+            if obj.mark {
+                obj.mark = false;
+                continue;
+            }
+            on_free(obj);
+            self.used_bytes -= obj.size_bytes();
+            self.live_objects -= 1;
+            *slot = None;
+            self.free.push(idx as u32);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -264,8 +265,10 @@ mod tests {
         let b = h.alloc(obj(2));
         assert_ne!(a, b);
         assert_eq!(h.live_objects(), 2);
-        h.free(a);
+        h.get_mut(b).mark = true;
+        h.sweep(|_| {});
         assert_eq!(h.live_objects(), 1);
+        assert!(!h.get(b).mark, "the sweep clears surviving marks");
         let c = h.alloc(obj(3));
         assert_eq!(c, a, "freed slot should be reused");
     }
@@ -276,7 +279,10 @@ mod tests {
         let a = h.alloc(obj(4));
         let expect = OBJECT_HEADER_BYTES + 4 * 8;
         assert_eq!(h.used_bytes(), expect);
-        h.free(a);
+        let mut freed = Vec::new();
+        h.sweep(|o| freed.push(o.size_bytes()));
+        assert_eq!(freed, [expect]);
+        assert!(!h.is_live(a));
         assert_eq!(h.used_bytes(), 0);
     }
 

@@ -1007,15 +1007,7 @@ pub(crate) fn step_thread_raw(vm: &mut Vm, tid: ThreadId, budget: u32) -> u32 {
                         ClassTarget::Array(d) => d.clone(),
                     };
                     let iso = vm.threads[t].current_isolate;
-                    let size = crate::heap::OBJECT_HEADER_BYTES + len as usize * 8;
-                    check!(vm.check_heap(size, iso));
-                    let desc = format!("[{elem_desc}");
-                    let obj_class = vm.well_known.object.expect("bootstrap installed");
-                    let body = ObjBody::ArrRef {
-                        elem_desc,
-                        data: vec![Value::Null; len as usize].into_boxed_slice(),
-                    };
-                    let r = vm.alloc_raw(obj_class, iso, body, &desc);
+                    let r = check!(vm.alloc_zeroed_array(iso, &elem_desc, len as usize));
                     push!(Value::Ref(r));
                 }
                 O::Arraylength => {
@@ -1393,9 +1385,19 @@ pub(crate) fn invoke_resolved(
         };
         vm.classes[target.class.0 as usize].methods[target.index as usize].native_idx =
             Some(native_idx);
-        let args = pop_args(vm, t, fidx, arg_slots);
+        // The arguments stay on the caller's operand stack while the
+        // native runs — roots of the calling frame's isolate — so a
+        // collection triggered by an allocation inside the native cannot
+        // free them. They are dropped once it returns, leaving the stack
+        // exactly as popping them first would have.
+        let start = vm.threads[t].frames[fidx].stack.len() - arg_slots as usize;
+        let args = vm.threads[t].frames[fidx].stack[start..].to_vec();
         let f = vm.natives.get(native_idx);
-        match f(vm, tid, &args) {
+        let result = f(vm, tid, &args);
+        if let Some(frame) = vm.threads[t].frames.get_mut(fidx) {
+            frame.stack.drain(start..start + args.len());
+        }
+        match result {
             NativeResult::Return(v) => {
                 if returns_value {
                     let v = v.expect("native for value-returning method returned nothing");
@@ -1649,28 +1651,11 @@ pub(crate) fn alloc_exception(
     class_name: &str,
     message: &str,
 ) -> GcRef {
-    let t = tid.0 as usize;
-    let iso = vm.threads[t].current_isolate;
+    let iso = vm.threads[tid.0 as usize].current_isolate;
     let class = vm
         .load_class(crate::ids::LoaderId::BOOTSTRAP, class_name)
         .unwrap_or_else(|e| panic!("bootstrap exception class {class_name} missing: {e}"));
-    let nfields = vm.classes[class.0 as usize].instance_fields.len();
-    let fields: Box<[Value]> = vm.classes[class.0 as usize]
-        .instance_fields
-        .iter()
-        .map(|f| Value::default_for_descriptor(&f.descriptor))
-        .collect();
-    let r = vm.alloc_raw(class, iso, crate::heap::ObjBody::Fields(fields), "");
-    let _ = nfields;
-    if !message.is_empty() {
-        let msg = vm.new_string(iso, message);
-        if let Some(slot) = vm.classes[class.0 as usize].find_instance_slot("message") {
-            if let crate::heap::ObjBody::Fields(fields) = &mut vm.heap.get_mut(r).body {
-                fields[slot as usize] = Value::Ref(msg);
-            }
-        }
-    }
-    r
+    vm.alloc_exception_unchecked(class, iso, message)
 }
 
 /// Builds a `StoppedIsolateException` for `dead_iso` (paper §3.3). The
@@ -2147,7 +2132,7 @@ pub(crate) fn load_constant(
             // Paper §3.1: string literals resolve through the *current
             // isolate's* string map, so `==` only holds within a bundle.
             let iso = vm.threads[t].current_isolate;
-            Value::Ref(vm.intern_string(iso, &s))
+            Value::Ref(vm.intern_string(iso, &s).ok_or_else(crate::vm::heap_oom)?)
         }
         ConstEntry::Class { .. } => {
             let target = resolve_class(vm, class_id, idx)?;
@@ -2217,24 +2202,5 @@ pub(crate) fn alloc_prim_array(
             message: format!("bad newarray type {atype}"),
         });
     };
-    let elem_bytes = match base {
-        BaseType::Boolean | BaseType::Byte => 1,
-        BaseType::Char | BaseType::Short => 2,
-        BaseType::Int | BaseType::Float => 4,
-        BaseType::Long | BaseType::Double => 8,
-    };
-    vm.check_heap(crate::heap::OBJECT_HEADER_BYTES + len * elem_bytes, iso)?;
-    let body = match base {
-        BaseType::Boolean => ObjBody::ArrBool(vec![0; len].into_boxed_slice()),
-        BaseType::Byte => ObjBody::ArrByte(vec![0; len].into_boxed_slice()),
-        BaseType::Char => ObjBody::ArrChar(vec![0; len].into_boxed_slice()),
-        BaseType::Short => ObjBody::ArrShort(vec![0; len].into_boxed_slice()),
-        BaseType::Int => ObjBody::ArrInt(vec![0; len].into_boxed_slice()),
-        BaseType::Long => ObjBody::ArrLong(vec![0; len].into_boxed_slice()),
-        BaseType::Float => ObjBody::ArrFloat(vec![0.0; len].into_boxed_slice()),
-        BaseType::Double => ObjBody::ArrDouble(vec![0.0; len].into_boxed_slice()),
-    };
-    let desc = format!("[{}", base.descriptor_char());
-    let obj_class = vm.well_known.object.expect("bootstrap installed");
-    Ok(vm.alloc_raw(obj_class, iso, body, &desc))
+    vm.alloc_zeroed_array(iso, base.descriptor_char().encode_utf8(&mut [0; 4]), len)
 }

@@ -24,6 +24,19 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
+/// The `OutOfMemoryError` a failed heap check throws.
+pub(crate) fn heap_oom() -> Thrown {
+    Thrown::ByName {
+        class_name: "java/lang/OutOfMemoryError",
+        message: "Java heap space".to_owned(),
+    }
+}
+
+/// The smallest pacing trigger: however little the last collection left
+/// live, the next one waits for at least this many allocated bytes (see
+/// [`VmOptions::gc_threshold_bytes`]).
+const GC_MIN_TRIGGER_BYTES: usize = 1 << 20;
+
 /// Whether the VM runs with I-JVM isolation or as the unmodified baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IsolationMode {
@@ -75,7 +88,11 @@ pub struct VmOptions {
     /// sampling interval (paper §3.2 samples the isolate reference of the
     /// running thread periodically).
     pub quantum: u32,
-    /// Bytes allocated between forced collections.
+    /// The most bytes allocated between two collections. A collection is
+    /// due once the bytes allocated since the last one exceed what that
+    /// collection left live (but at least 1 MiB), capped by this value:
+    /// a small live heap collects sooner, and a live heap at or above
+    /// the cap collects every `gc_threshold_bytes`.
     pub gc_threshold_bytes: usize,
     /// Flight-recorder mode (see [`crate::trace`]). `Off` by default:
     /// every instrumentation point reduces to one predicted branch on a
@@ -773,7 +790,17 @@ impl Vm {
         let name = self.classes[class.0 as usize].name.to_string();
         match class_class {
             Some(cc) => {
-                let name_ref = self.intern_string(iso, &name);
+                // Mirror creation is VM bookkeeping, not a guest
+                // allocation: it runs no collection, so no caller of
+                // `ensure_mirror` has to be a safe point.
+                let name_ref = match self.interned(iso, &name) {
+                    Ok(r) => r,
+                    Err(map_iso) => {
+                        let r = self.alloc_string_unchecked(iso, name.encode_utf16().collect());
+                        self.record_interned(map_iso, &name, r);
+                        r
+                    }
+                };
                 let nfields = self.classes[cc.0 as usize].instance_fields.len();
                 let mut fields = vec![Value::Null; nfields];
                 if let Some(slot) = self.classes[cc.0 as usize].find_instance_slot("name") {
@@ -794,8 +821,12 @@ impl Vm {
     // ------------------------------------------------------------------
 
     /// Raw allocation, charging `iso` (paper §3.2: objects are charged to
-    /// the allocating isolate). Does not run constructors or limit checks.
-    pub(crate) fn alloc_raw(
+    /// the allocating isolate). Runs no collection and no limit check:
+    /// every caller outside this impl goes through a checked entry
+    /// ([`Vm::alloc_instance`], [`Vm::alloc_array`], [`Vm::new_string`]
+    /// and their siblings) or says it is unchecked
+    /// ([`Vm::alloc_exception_unchecked`]).
+    fn alloc_raw(
         &mut self,
         class: ClassId,
         iso: IsolateId,
@@ -832,29 +863,63 @@ impl Vm {
         let nfields = self.classes[class.0 as usize].instance_fields.len();
         let size = crate::heap::OBJECT_HEADER_BYTES + nfields * 8;
         self.check_heap(size, iso)?;
-        let fields: Box<[Value]> = self.classes[class.0 as usize]
-            .instance_fields
-            .iter()
-            .map(|f| Value::default_for_descriptor(&f.descriptor))
-            .collect();
-        Ok(self.alloc_raw(class, iso, ObjBody::Fields(fields), ""))
+        Ok(self.alloc_raw(class, iso, self.default_fields(class), ""))
     }
 
-    /// Enforces the heap limit before an allocation of `size` bytes.
+    fn default_fields(&self, class: ClassId) -> ObjBody {
+        ObjBody::Fields(
+            self.classes[class.0 as usize]
+                .instance_fields
+                .iter()
+                .map(|f| Value::default_for_descriptor(&f.descriptor))
+                .collect(),
+        )
+    }
+
+    /// Allocates an exception of `class` carrying `message`, charged to
+    /// `iso`, with no collection and no limit check — so reporting an
+    /// `OutOfMemoryError` cannot itself run out of memory. The one
+    /// unchecked allocation open to the rest of the crate.
+    pub(crate) fn alloc_exception_unchecked(
+        &mut self,
+        class: ClassId,
+        iso: IsolateId,
+        message: &str,
+    ) -> GcRef {
+        let r = self.alloc_raw(class, iso, self.default_fields(class), "");
+        if !message.is_empty() {
+            let msg = self.alloc_string_unchecked(iso, message.encode_utf16().collect());
+            if let Some(slot) = self.classes[class.0 as usize].find_instance_slot("message") {
+                if let ObjBody::Fields(fields) = &mut self.heap.get_mut(r).body {
+                    fields[slot as usize] = Value::Ref(msg);
+                }
+            }
+        }
+        r
+    }
+
+    /// Enforces the heap limit before an allocation of `size` bytes, and
+    /// collects first when the limit would be crossed or a collection is
+    /// due. Pacing: a collection is due once the bytes allocated since
+    /// the last one exceed what that one left live — never less than
+    /// [`GC_MIN_TRIGGER_BYTES`], never more than `gc_threshold_bytes`.
+    /// Only the collector frees objects, so `used - allocated_since_gc`
+    /// is exactly the last collection's survivors, and a restored VM
+    /// (which carries both) collects where its original would have.
     pub(crate) fn check_heap(
         &mut self,
         size: usize,
         iso: IsolateId,
     ) -> std::result::Result<(), Thrown> {
-        if self.heap.used_bytes() + size > self.options.heap_limit_bytes
-            || self.allocated_since_gc > self.options.gc_threshold_bytes
-        {
+        let used = self.heap.used_bytes();
+        let live = used.saturating_sub(self.allocated_since_gc);
+        let trigger = live
+            .max(GC_MIN_TRIGGER_BYTES)
+            .min(self.options.gc_threshold_bytes);
+        if used + size > self.options.heap_limit_bytes || self.allocated_since_gc > trigger {
             self.collect_garbage(Some(iso));
             if self.heap.used_bytes() + size > self.options.heap_limit_bytes {
-                return Err(Thrown::ByName {
-                    class_name: "java/lang/OutOfMemoryError",
-                    message: "Java heap space".to_owned(),
-                });
+                return Err(heap_oom());
             }
         }
         Ok(())
@@ -865,41 +930,65 @@ impl Vm {
     // ------------------------------------------------------------------
 
     /// Interns `s` in `iso`'s string map (paper §3.1: per-isolate string
-    /// maps; in `Shared` mode there is a single global map).
-    pub fn intern_string(&mut self, iso: IsolateId, s: &str) -> GcRef {
-        let mi = self.mirror_index(iso) as u16;
-        let map_iso = if self.isolates.is_empty() {
-            0
-        } else {
-            mi.min(self.isolates.len() as u16 - 1)
-        };
-        if let Some(i) = self.isolates.get(map_iso as usize) {
-            if let Some(&r) = i.strings.get(s) {
-                if self.heap.is_live(r) {
-                    return r;
-                }
+    /// maps; in `Shared` mode there is a single global map). Returns
+    /// `None` when a new string would exceed the heap limit even after a
+    /// collection.
+    pub fn intern_string(&mut self, iso: IsolateId, s: &str) -> Option<GcRef> {
+        match self.interned(iso, s) {
+            Ok(r) => Some(r),
+            Err(map_iso) => {
+                let r = self.new_string(iso, s)?;
+                self.record_interned(map_iso, s, r);
+                Some(r)
             }
         }
-        let r = self.new_string(iso, s);
-        if let Some(i) = self.isolates.get_mut(map_iso as usize) {
+    }
+
+    /// The live interned string `s` of `iso`'s map, or the map's index.
+    fn interned(&self, iso: IsolateId, s: &str) -> std::result::Result<GcRef, usize> {
+        let mi = self.mirror_index(iso);
+        let map_iso = mi.min(self.isolates.len().saturating_sub(1));
+        match self.isolates.get(map_iso).and_then(|i| i.strings.get(s)) {
+            Some(&r) if self.heap.is_live(r) => Ok(r),
+            _ => Err(map_iso),
+        }
+    }
+
+    fn record_interned(&mut self, map_iso: usize, s: &str, r: GcRef) {
+        if let Some(i) = self.isolates.get_mut(map_iso) {
             i.strings.insert(s.to_owned(), r);
         }
-        r
     }
 
     /// Allocates a fresh (non-interned) string object charged to `iso`.
-    pub fn new_string(&mut self, iso: IsolateId, s: &str) -> GcRef {
+    /// Returns `None` when the heap limit would be exceeded even after a
+    /// collection.
+    pub fn new_string(&mut self, iso: IsolateId, s: &str) -> Option<GcRef> {
         self.new_string_utf16(iso, s.encode_utf16().collect())
     }
 
     /// Allocates a fresh string object whose body is `chars`, charged to
     /// `iso`. The code units are kept as given, unpaired surrogates
-    /// included.
-    pub fn new_string_utf16(&mut self, iso: IsolateId, chars: Box<[u16]>) -> GcRef {
-        let string_class = self
-            .well_known
+    /// included. The string and its `char[]` pass one heap check
+    /// together, before either exists, so a collection it triggers
+    /// cannot free the first half. Returns `None` when the heap limit
+    /// would be exceeded even after a collection.
+    pub fn new_string_utf16(&mut self, iso: IsolateId, chars: Box<[u16]>) -> Option<GcRef> {
+        let string_class = self.string_class();
+        let nfields = self.classes[string_class.0 as usize].instance_fields.len();
+        let size = 2 * crate::heap::OBJECT_HEADER_BYTES + chars.len() * 2 + nfields * 8;
+        self.check_heap(size, iso).ok()?;
+        Some(self.alloc_string_unchecked(iso, chars))
+    }
+
+    fn string_class(&self) -> ClassId {
+        self.well_known
             .string
-            .expect("java/lang/String must be installed before creating strings");
+            .expect("java/lang/String must be installed before creating strings")
+    }
+
+    fn alloc_string_unchecked(&mut self, iso: IsolateId, chars: Box<[u16]>) -> GcRef {
+        let string_class = self.string_class();
         let arr = self.alloc_raw(
             self.well_known.object.expect("bootstrap installed"),
             iso,
@@ -1756,6 +1845,26 @@ impl Vm {
         self.threads[tid.0 as usize].current_isolate
     }
 
+    /// Runs `f` with `r` kept reachable, for a native on `tid` that holds
+    /// a fresh object across a further allocation (which may collect).
+    /// `r` sits on the operand stack of the frame that called the native
+    /// while `f` runs — a root of that frame's isolate, like the native's
+    /// own arguments — and is gone when `f` returns.
+    pub fn with_native_root<T>(
+        &mut self,
+        tid: ThreadId,
+        r: GcRef,
+        f: impl FnOnce(&mut Vm) -> T,
+    ) -> T {
+        let t = tid.0 as usize;
+        let caller = self.threads[t].frames.len() - 1;
+        let at = self.threads[t].frames[caller].stack.len();
+        self.threads[t].frames[caller].stack.push(Value::Ref(r));
+        let out = f(self);
+        self.threads[t].frames[caller].stack.remove(at);
+        out
+    }
+
     /// Parks the current thread for `duration` virtual nanoseconds
     /// (1 interpreted instruction ≈ 1 virtual ns). Used by `Thread.sleep`.
     pub fn native_sleep(&mut self, tid: ThreadId, duration: u64) {
@@ -1891,13 +2000,7 @@ impl Vm {
         elem_desc: &str,
         len: usize,
     ) -> Option<GcRef> {
-        self.alloc_array(
-            iso,
-            ObjBody::ArrRef {
-                elem_desc: elem_desc.to_owned(),
-                data: vec![Value::Null; len].into_boxed_slice(),
-            },
-        )
+        self.alloc_zeroed_array(iso, elem_desc, len).ok()
     }
 
     /// Allocates a `char[]` with the given contents, charged to `iso`.
@@ -1930,11 +2033,46 @@ impl Vm {
             }
         };
         let size = crate::heap::OBJECT_HEADER_BYTES + body.payload_bytes();
-        if self.check_heap(size, iso).is_err() {
-            return None;
-        }
+        self.check_heap(size, iso).ok()?;
         let obj_class = self.well_known.object.expect("bootstrap installed");
         Some(self.alloc_raw(obj_class, iso, body, desc))
+    }
+
+    /// Allocates a zero- (or null-) filled array of `len` elements of
+    /// type `elem_desc` (`I`, `Ljava/lang/Object;`, `[C`, ...), charged
+    /// to `iso` — `newarray` and `anewarray`. The heap check runs before
+    /// the body is built, so a hostile length fails with
+    /// `OutOfMemoryError` instead of making the host allocate it.
+    pub(crate) fn alloc_zeroed_array(
+        &mut self,
+        iso: IsolateId,
+        elem_desc: &str,
+        len: usize,
+    ) -> std::result::Result<GcRef, Thrown> {
+        let kind = elem_desc.as_bytes().first().copied().unwrap_or(b'L');
+        let elem_bytes = match kind {
+            b'Z' | b'B' => 1,
+            b'C' | b'S' => 2,
+            b'I' | b'F' => 4,
+            _ => 8,
+        };
+        self.check_heap(crate::heap::OBJECT_HEADER_BYTES + len * elem_bytes, iso)?;
+        let body = match kind {
+            b'Z' => ObjBody::ArrBool(vec![0; len].into()),
+            b'B' => ObjBody::ArrByte(vec![0; len].into()),
+            b'C' => ObjBody::ArrChar(vec![0; len].into()),
+            b'S' => ObjBody::ArrShort(vec![0; len].into()),
+            b'I' => ObjBody::ArrInt(vec![0; len].into()),
+            b'J' => ObjBody::ArrLong(vec![0; len].into()),
+            b'F' => ObjBody::ArrFloat(vec![0.0; len].into()),
+            b'D' => ObjBody::ArrDouble(vec![0.0; len].into()),
+            _ => ObjBody::ArrRef {
+                elem_desc: elem_desc.to_owned(),
+                data: vec![Value::Null; len].into(),
+            },
+        };
+        let obj_class = self.well_known.object.expect("bootstrap installed");
+        Ok(self.alloc_raw(obj_class, iso, body, &format!("[{elem_desc}")))
     }
 
     /// Reads an instance field by name (searching the flattened layout).

@@ -332,7 +332,9 @@ impl Decoder<'_> {
                 } else {
                     s.encode_utf16().collect()
                 };
-                let obj = vm.new_string_utf16(self.target, chars);
+                let obj = vm
+                    .new_string_utf16(self.target, chars)
+                    .ok_or(WireError::OutOfMemory)?;
                 return Ok(self.keep(vm, obj));
             }
             tag::OBJECT => return self.object(vm),

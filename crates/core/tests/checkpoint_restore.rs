@@ -725,7 +725,9 @@ fn host_call_batches_image_identically_across_restore() {
     let locks = vm.load_class(loader, "Locks").unwrap();
 
     let batch = |vm: &mut Vm, k: i32| {
-        let lock = vm.new_string(iso, &format!("lock{k}"));
+        let lock = vm
+            .new_string(iso, &format!("lock{k}"))
+            .expect("heap has room");
         vm.pin(lock);
         let mut results = Vec::new();
         for x in 0..20 {

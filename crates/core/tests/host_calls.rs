@@ -157,7 +157,7 @@ fn monitor_vm(engine: EngineKind) -> (Vm, ClassId, IsolateId, GcRef) {
     let bytes = ijvm_classfile::writer::write_class(&cb.build().unwrap()).unwrap();
     vm.add_class_bytes(loader, "Locks", bytes);
     let class = vm.load_class(loader, "Locks").unwrap();
-    let lock = vm.new_string(iso, "lock");
+    let lock = vm.new_string(iso, "lock").expect("heap has room");
     vm.pin(lock);
     (vm, class, iso, lock)
 }

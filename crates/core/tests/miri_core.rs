@@ -42,7 +42,7 @@ fn wire_codec_roundtrips_primitives_and_strings() {
     // A heap value: the copy must land in the receiver as a distinct
     // object with equal contents.
     let text: String = "wire ".repeat(if cfg!(miri) { 2 } else { 64 });
-    let s = vm.new_string(src, &text);
+    let s = vm.new_string(src, &text).expect("heap has room");
     let mut bytes = Vec::new();
     serialize_value(&vm, Value::Ref(s), &mut bytes);
     let back = deserialize_value(&mut vm, &bytes, dst, dst_loader).unwrap();

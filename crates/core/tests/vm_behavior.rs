@@ -292,7 +292,7 @@ fn failed_clinit_poisons_the_class_for_that_isolate() {
 fn pinned_objects_survive_collection_and_unpinned_die() {
     let mut vm = boot(VmOptions::isolated());
     let iso = vm.create_isolate("t");
-    let s = vm.new_string(iso, "keep me");
+    let s = vm.new_string(iso, "keep me").expect("heap has room");
     let pin = vm.pin(s);
     vm.collect_garbage(None);
     assert!(vm.heap().is_live(s));
@@ -306,7 +306,7 @@ fn pinned_objects_survive_collection_and_unpinned_die() {
 fn pin_takes_the_lowest_free_handle() {
     let mut vm = boot(VmOptions::isolated());
     let iso = vm.create_isolate("t");
-    let s = vm.new_string(iso, "x");
+    let s = vm.new_string(iso, "x").expect("heap has room");
     let handles: Vec<usize> = (0..4).map(|_| vm.pin(s)).collect();
     vm.unpin(handles[2]);
     vm.unpin(handles[1]);
@@ -321,9 +321,9 @@ fn interned_strings_are_identical_within_an_isolate() {
     let mut vm = boot(VmOptions::isolated());
     let a = vm.create_isolate("a");
     let b = vm.create_isolate("b");
-    let s1 = vm.intern_string(a, "tok");
-    let s2 = vm.intern_string(a, "tok");
-    let s3 = vm.intern_string(b, "tok");
+    let s1 = vm.intern_string(a, "tok").expect("heap has room");
+    let s2 = vm.intern_string(a, "tok").expect("heap has room");
+    let s3 = vm.intern_string(b, "tok").expect("heap has room");
     assert_eq!(s1, s2, "same isolate interns to the same object");
     assert_ne!(s1, s3, "different isolates have private string maps");
 }
@@ -339,7 +339,7 @@ fn unicode_strings_round_trip() {
         "日本語テキスト",
         "mixed 漢字 and λ",
     ] {
-        let s = vm.new_string(iso, text);
+        let s = vm.new_string(iso, text).expect("heap has room");
         assert_eq!(vm.read_string(s).as_deref(), Some(text));
     }
 }
@@ -585,8 +585,10 @@ fn string_natives_are_exact_on_unpaired_surrogates() {
     "#;
     let class = load(&mut vm, iso, src, "Str");
     let body = [u16::from(b'a'), 0xD800, u16::from(b'b')];
-    let s = vm.new_string_utf16(iso, body.into());
-    let lossy = vm.new_string(iso, "a\u{FFFD}b");
+    let s = vm
+        .new_string_utf16(iso, body.into())
+        .expect("heap has room");
+    let lossy = vm.new_string(iso, "a\u{FFFD}b").expect("heap has room");
     let call = |vm: &mut Vm, name: &str, desc: &str, args: Vec<Value>| {
         vm.call_static_as(class, name, desc, args, iso)
             .unwrap()
@@ -618,7 +620,9 @@ fn string_natives_are_exact_on_unpaired_surrogates() {
         ]
     );
     let eq_desc = "(Ljava/lang/String;Ljava/lang/String;)I";
-    let copy = vm.new_string_utf16(iso, body.into());
+    let copy = vm
+        .new_string_utf16(iso, body.into())
+        .expect("heap has room");
     assert_eq!(
         call(
             &mut vm,

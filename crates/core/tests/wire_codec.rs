@@ -99,7 +99,7 @@ fn decode_time_is_linear_in_object_count() {
         let arr = vm.alloc_ref_array(a, "Ljava/lang/Object;", n).unwrap();
         let pin = vm.pin(arr);
         for i in 0..n {
-            let s = vm.new_string(a, "ab");
+            let s = vm.new_string(a, "ab").expect("heap has room");
             if let ObjBody::ArrRef { data, .. } = &mut vm.heap_mut().get_mut(arr).body {
                 data[i] = Value::Ref(s);
             }

@@ -565,8 +565,10 @@ fn register_stringbuilder(vm: &mut Vm) {
                 _ => Box::default(),
             };
             let iso = vm.current_isolate(tid);
-            let out = vm.new_string_utf16(iso, chars);
-            ret(Value::Ref(out))
+            match vm.new_string_utf16(iso, chars) {
+                Some(out) => ret(Value::Ref(out)),
+                None => oom("StringBuilder.toString"),
+            }
         }),
     );
 }
@@ -823,7 +825,9 @@ fn map_grow(vm: &mut Vm, tid: ThreadId, map: GcRef) -> Result<(), NativeResult> 
         .alloc_ref_array(iso, "Ljava/lang/Object;", new_cap)
         .ok_or_else(|| oom("HashMap grow"))?;
     let nv = vm
-        .alloc_ref_array(iso, "Ljava/lang/Object;", new_cap)
+        .with_native_root(tid, nk, |vm| {
+            vm.alloc_ref_array(iso, "Ljava/lang/Object;", new_cap)
+        })
         .ok_or_else(|| oom("HashMap grow"))?;
     vm.set_field(map, "keys", Value::Ref(nk));
     vm.set_field(map, "vals", Value::Ref(nv));

@@ -304,7 +304,10 @@ fn service_objects_remain_usable_until_unregistered() {
     // Call the service from another bundle's isolate, through the shared
     // reference (host-driven, as the registry hands out references).
     let consumer_iso = fw.bundle(provider).unwrap().isolate;
-    let key = fw.vm_mut().new_string(consumer_iso, "paper");
+    let key = fw
+        .vm_mut()
+        .new_string(consumer_iso, "paper")
+        .expect("heap has room");
     let class = fw.vm().heap().get(service).class;
     let index = fw
         .vm()
