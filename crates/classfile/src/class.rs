@@ -132,16 +132,6 @@ impl ClassFile {
         })
     }
 
-    /// Looks up a declared field by name.
-    pub fn find_field(&self, name: &str) -> Option<&FieldInfo> {
-        self.fields.iter().find(|f| {
-            self.pool
-                .utf8_at(f.name)
-                .map(|n| n == name)
-                .unwrap_or(false)
-        })
-    }
-
     /// Basic structural sanity checks shared by the reader and the builder:
     /// the `this_class`/`super_class` indices resolve, every field/method
     /// name and descriptor resolves and parses, exception-table ranges are

@@ -128,19 +128,32 @@ mod tests {
     use ijvm_core::vm::VmOptions;
     use ijvm_minijava::{compile_to_bytes, CompileEnv};
 
-    fn vm_with_classes(src: &str) -> (Vm, IsolateId, IsolateId) {
-        let mut vm = ijvm_jsl::boot(VmOptions::isolated());
+    /// A VM with isolates `a` and `b`, each loader holding `src`.
+    fn vm_with_classes(options: VmOptions, src: &str) -> (Vm, IsolateId, IsolateId) {
+        let mut vm = ijvm_jsl::boot(options);
         let a = vm.create_isolate("a");
         let b = vm.create_isolate("b");
-        let loader = vm.loader_of(a).unwrap();
-        for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
-            vm.add_class_bytes(loader, &name, bytes);
+        for iso in [a, b] {
+            let loader = vm.loader_of(iso).unwrap();
+            for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
+                vm.add_class_bytes(loader, &name, bytes);
+            }
         }
         (vm, a, b)
     }
 
     #[test]
     fn copies_object_graphs_with_cycles() {
+        copy_ring(VmOptions::isolated());
+        // Again with a collection at every allocation: collections during
+        // the copy charge the pinned copies to Isolate0, so ownership is
+        // read only after the copy is rooted in `b` and collected.
+        let mut stress = VmOptions::isolated();
+        stress.gc_threshold_bytes = 0;
+        copy_ring(stress);
+    }
+
+    fn copy_ring(options: VmOptions) {
         let src = r#"
             class Node { Node next; int v; }
             class Mk {
@@ -158,10 +171,13 @@ mod tests {
                     return first;
                 }
             }
+            class Keep { static Object k; static void keep(Object o) { k = o; } }
         "#;
-        let (mut vm, a, b) = vm_with_classes(src);
+        let collects_per_alloc = options.gc_threshold_bytes == 0;
+        let (mut vm, a, b) = vm_with_classes(options, src);
         let loader = vm.loader_of(a).unwrap();
         let mk = vm.load_class(loader, "Mk").unwrap();
+        let keep = vm.load_class(vm.loader_of(b).unwrap(), "Keep").unwrap();
         let ring = vm
             .call_static_as(mk, "ring", "(I)LNode;", vec![Value::Int(4)], a)
             .unwrap()
@@ -170,6 +186,21 @@ mod tests {
             panic!("expected ref")
         };
         let copied = copy_test_helper(&mut vm, head, b);
+        if !collects_per_alloc {
+            // No collection has run yet: the copy is allocated in b.
+            assert_eq!(vm.heap().get(copied).owner, b);
+        }
+        // Root the copy in isolate b and collect: the collector charges
+        // each object to the first isolate that reaches it.
+        vm.call_static_as(
+            keep,
+            "keep",
+            "(Ljava/lang/Object;)V",
+            vec![Value::Ref(copied)],
+            b,
+        )
+        .unwrap();
+        vm.collect_garbage(None);
         // The copy is a distinct 4-node ring with the same values.
         assert_ne!(copied, head);
         let mut cur = copied;
@@ -192,7 +223,7 @@ mod tests {
 
     #[test]
     fn copies_strings_and_arrays() {
-        let (mut vm, a, b) = vm_with_classes("class Empty { }");
+        let (mut vm, a, b) = vm_with_classes(VmOptions::isolated(), "class Empty { }");
         let s = vm.new_string(a, "shared text").expect("heap has room");
         let copied = copy_test_helper(&mut vm, s, b);
         assert_ne!(copied, s);

@@ -477,14 +477,6 @@ pub fn table1(calls: u32) -> Vec<CallCostReport> {
     Model::ALL.iter().map(|&m| measure(m, calls)).collect()
 }
 
-/// Relative overhead of I-JVM's intra- vs inter-bundle calls in guest
-/// instructions — the micro-benchmark view used by Figure 1.
-pub fn migration_cost(calls: u32) -> (u64, u64) {
-    let local = measure(Model::Local, calls).guest_instructions;
-    let inter = measure(Model::IJvm, calls).guest_instructions;
-    (local, inter)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

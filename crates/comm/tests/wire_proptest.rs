@@ -52,12 +52,16 @@ fn build(vm: &mut Vm, iso: IsolateId, t: &Tree) -> Value {
             let arr = vm
                 .alloc_ref_array(iso, "Ljava/lang/Object;", children.len())
                 .unwrap();
+            // Building a child allocates, and an allocation may collect:
+            // the array is pinned until every child is stored in it.
+            let pin = vm.pin(arr);
             for (i, c) in children.iter().enumerate() {
                 let v = build(vm, iso, c);
                 if let ObjBody::ArrRef { data, .. } = &mut vm.heap_mut().get_mut(arr).body {
                     data[i] = v;
                 }
             }
+            vm.unpin(pin);
             Value::Ref(arr)
         }
     }
@@ -88,23 +92,42 @@ fn check(vm: &Vm, t: &Tree, v: Value) {
     }
 }
 
+/// Builds `tree` in one isolate, then checks that the wire round trip
+/// and a deep copy into another isolate both reproduce it. The source
+/// stays pinned: decoding and copying allocate, and may collect.
+fn round_trip(options: VmOptions, tree: &Tree) {
+    let mut vm = ijvm_jsl::boot(options);
+    let a = vm.create_isolate("a");
+    let b = vm.create_isolate("b");
+    let v = build(&mut vm, a, tree);
+    if let Value::Ref(r) = v {
+        vm.pin(r);
+    }
+    let mut wire = Vec::new();
+    serialize_value(&vm, v, &mut wire);
+    let loader = vm.loader_of(b).unwrap();
+    let back = deserialize_value(&mut vm, &wire, b, loader).expect("round trip");
+    check(&vm, tree, back);
+    // Deep copy agrees with serialize→deserialize.
+    let copied = ijvm_comm::deep_copy_value(&mut vm, v, b).expect("copy");
+    check(&vm, tree, copied);
+}
+
+/// Every allocation collects first, so a host reference held across an
+/// allocation without a pin is freed before it is read again.
+fn collect_at_every_allocation() -> VmOptions {
+    let mut o = VmOptions::isolated();
+    o.gc_threshold_bytes = 0;
+    o
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn random_value_trees_round_trip(tree in arb_tree()) {
-        let mut vm = ijvm_jsl::boot(VmOptions::isolated());
-        let a = vm.create_isolate("a");
-        let b = vm.create_isolate("b");
-        let v = build(&mut vm, a, &tree);
-        let mut wire = Vec::new();
-        serialize_value(&vm, v, &mut wire);
-        let loader = vm.loader_of(b).unwrap();
-        let back = deserialize_value(&mut vm, &wire, b, loader).expect("round trip");
-        check(&vm, &tree, back);
-        // Deep copy agrees with serialize→deserialize.
-        let copied = ijvm_comm::deep_copy_value(&mut vm, v, b).expect("copy");
-        check(&vm, &tree, copied);
+        round_trip(VmOptions::isolated(), &tree);
+        round_trip(collect_at_every_allocation(), &tree);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct ResourceStats {
     pub threads_live: u64,
     /// Threads created by this isolate currently sleeping or blocked,
     /// used to spot hanging-thread attacks (A7).
-    pub threads_parked: u64,
+    pub(crate) threads_parked: u64,
     /// Collections triggered by this isolate (cumulative).
     pub gc_triggers: u64,
     /// Bytes read through connections (cumulative).
@@ -53,7 +53,7 @@ pub struct ResourceStats {
     /// Connections opened by this isolate (cumulative).
     pub connections_opened: u64,
     /// Live connections charged to this isolate by the last collection.
-    pub live_connections: u64,
+    pub(crate) live_connections: u64,
     /// Inter-isolate calls that *entered* this isolate (cumulative).
     /// Cheap to maintain (the migration path already writes the isolate
     /// reference) and useful for the Table 1 experiments.
@@ -62,7 +62,7 @@ pub struct ResourceStats {
 
 impl ResourceStats {
     /// Resets the per-collection counters (GC accounting step 1, §3.2).
-    pub fn reset_live(&mut self) {
+    pub(crate) fn reset_live(&mut self) {
         self.live_bytes = 0;
         self.live_objects = 0;
         self.live_connections = 0;
@@ -76,7 +76,7 @@ impl ResourceStats {
     /// charge through here *before* the isolate reference changes, so
     /// `cpu_exact` stays exact regardless of engine or call fast path.
     #[inline]
-    pub fn charge_cpu(&mut self, insns: u64) {
+    pub(crate) fn charge_cpu(&mut self, insns: u64) {
         self.cpu_exact += insns;
     }
 }
@@ -89,7 +89,7 @@ impl ResourceStats {
 /// the buffer into this aggregate at every *migration point* — whenever a
 /// unit is parked back onto a run queue (and so becomes stealable),
 /// finishes, or is terminated. Every drained instruction passes through
-/// [`ResourceStats::charge_cpu`], the same single exact flush point the
+/// `ResourceStats::charge_cpu`, the same single exact flush point the
 /// in-VM engines use, so the aggregate is bit-identical between the
 /// deterministic and the parallel scheduler regardless of how slices
 /// interleaved or which worker ran which slice.
@@ -103,7 +103,7 @@ pub struct ClusterAccounts {
 
 impl ClusterAccounts {
     /// Charges `insns` exactly-counted instructions to `(unit, iso)`
-    /// through [`ResourceStats::charge_cpu`].
+    /// through `ResourceStats::charge_cpu`.
     pub fn charge(&mut self, unit: crate::sched::UnitId, iso: IsolateId, insns: u64) {
         self.per_isolate
             .entry((unit, iso))
@@ -176,7 +176,7 @@ impl WorkerCpuBuffer {
     }
 
     /// Flushes every buffered entry into `accounts` through
-    /// [`ResourceStats::charge_cpu`], leaving the buffer empty.
+    /// `ResourceStats::charge_cpu`, leaving the buffer empty.
     pub fn drain_into(&mut self, accounts: &mut ClusterAccounts) {
         for ((unit, iso), insns) in self.pending.drain(..) {
             accounts.charge(unit, iso, insns);
@@ -193,7 +193,7 @@ pub struct IsolateSnapshot {
     /// Isolate name (bundle symbolic name for OSGi bundles).
     pub name: String,
     /// Lifecycle state.
-    pub state: crate::isolate::IsolateState,
+    pub(crate) state: crate::isolate::IsolateState,
     /// The counters.
     pub stats: ResourceStats,
 }

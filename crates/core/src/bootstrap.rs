@@ -8,7 +8,6 @@
 //! (string literals, exception delivery).
 
 use crate::error::Result;
-use crate::heap::ObjBody;
 use crate::interp::STOPPED_ISOLATE_EXCEPTION;
 use crate::natives::NativeResult;
 use crate::value::Value;
@@ -19,7 +18,7 @@ use std::sync::Arc;
 const PUB: AccessFlags = AccessFlags::PUBLIC;
 
 /// Builds `java/lang/Object`.
-pub fn object_class() -> ClassFile {
+pub(crate) fn object_class() -> ClassFile {
     let mut cb = ClassBuilder::new_root("java/lang/Object", PUB);
     let mut m = cb.method("<init>", "()V", PUB);
     m.op(Opcode::Return);
@@ -43,7 +42,7 @@ pub fn object_class() -> ClassFile {
 
 /// Builds `java/lang/Class` (per-isolate instances are the monitors that
 /// synchronized static methods lock — the state attack A2 targets).
-pub fn class_class() -> ClassFile {
+pub(crate) fn class_class() -> ClassFile {
     let mut cb = ClassBuilder::new("java/lang/Class", "java/lang/Object", PUB);
     cb.field("name", "Ljava/lang/String;", PUB | AccessFlags::FINAL);
     let mut m = cb.method("getName", "()Ljava/lang/String;", PUB);
@@ -55,7 +54,7 @@ pub fn class_class() -> ClassFile {
 }
 
 /// Builds `java/lang/String` (backed by a `[C` value array).
-pub fn string_class() -> ClassFile {
+pub(crate) fn string_class() -> ClassFile {
     let mut cb = ClassBuilder::new(
         "java/lang/String",
         "java/lang/Object",
@@ -86,7 +85,7 @@ pub fn string_class() -> ClassFile {
 }
 
 /// Builds `java/lang/Throwable` with a `message` field.
-pub fn throwable_class() -> ClassFile {
+pub(crate) fn throwable_class() -> ClassFile {
     let mut cb = ClassBuilder::new("java/lang/Throwable", "java/lang/Object", PUB);
     cb.field("message", "Ljava/lang/String;", AccessFlags::PROTECTED);
     let mut m = cb.method("<init>", "()V", PUB);
@@ -112,7 +111,7 @@ pub fn throwable_class() -> ClassFile {
 
 /// Builds a trivial `Throwable` subclass with the two standard
 /// constructors delegating to `super_name`.
-pub fn exception_subclass(name: &str, super_name: &str) -> ClassFile {
+pub(crate) fn exception_subclass(name: &str, super_name: &str) -> ClassFile {
     let mut cb = ClassBuilder::new(name, super_name, PUB);
     let mut m = cb.method("<init>", "()V", PUB);
     m.aload(0);
@@ -131,7 +130,7 @@ pub fn exception_subclass(name: &str, super_name: &str) -> ClassFile {
 /// Builds `org/ijvm/StoppedIsolateException`, the uncatchable-by-its-own-
 /// isolate exception that isolate termination raises (paper §3.3). The
 /// `isolateId` field records the terminated isolate.
-pub fn stopped_isolate_exception_class() -> ClassFile {
+pub(crate) fn stopped_isolate_exception_class() -> ClassFile {
     let mut cb = ClassBuilder::new(STOPPED_ISOLATE_EXCEPTION, "java/lang/Error", PUB);
     cb.field("isolateId", "I", PUB);
     let mut m = cb.method("<init>", "()V", PUB);
@@ -149,7 +148,7 @@ pub fn stopped_isolate_exception_class() -> ClassFile {
 
 /// The standard exception hierarchy installed by [`install`], as
 /// `(class, superclass)` pairs in installation order.
-pub const EXCEPTION_HIERARCHY: &[(&str, &str)] = &[
+pub(crate) const EXCEPTION_HIERARCHY: &[(&str, &str)] = &[
     ("java/lang/Exception", "java/lang/Throwable"),
     ("java/lang/RuntimeException", "java/lang/Exception"),
     ("java/lang/Error", "java/lang/Throwable"),
@@ -387,13 +386,5 @@ fn string_result(r: Option<crate::value::GcRef>) -> NativeResult {
             class_name: "java/lang/OutOfMemoryError",
             message: "Java heap space".to_owned(),
         },
-    }
-}
-
-/// Reads a `[C` payload directly (helper for hosts and the JSL).
-pub fn chars_of(vm: &Vm, r: crate::value::GcRef) -> Option<Vec<u16>> {
-    match &vm.heap().get(r).body {
-        ObjBody::ArrChar(chars) => Some(chars.to_vec()),
-        _ => None,
     }
 }

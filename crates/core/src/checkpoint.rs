@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! magic   b"CKPT"                      4 bytes
-//! version u16 (currently 1)            2 bytes
+//! version u16 (currently 2)            2 bytes
 //! count   u32 section count (8)        4 bytes
 //! table   count × { tag u8, offset u32, len u32, crc32 u32 }
 //! payload concatenated section bodies (offsets relative to payload)
@@ -63,9 +63,9 @@ use crate::wire::{write_elems, Reader, WireError};
 use std::collections::VecDeque;
 
 /// Image magic: the first four bytes of every unit image.
-pub const MAGIC: &[u8; 4] = b"CKPT";
+pub(crate) const MAGIC: &[u8; 4] = b"CKPT";
 /// Current image format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub(crate) const FORMAT_VERSION: u16 = 2;
 
 const SECTION_COUNT: usize = 8;
 const SECTION_NAMES: [&str; SECTION_COUNT] = [
@@ -723,10 +723,6 @@ fn enc_heap(vm: &Vm) -> Vec<u8> {
                         for t in &m.entry_queue {
                             w_u32(&mut out, t.0);
                         }
-                        w_u32(&mut out, m.wait_set.len() as u32);
-                        for t in &m.wait_set {
-                            w_u32(&mut out, t.0);
-                        }
                     }
                 }
                 enc_body(&mut out, &obj.body);
@@ -754,10 +750,6 @@ fn enc_thread_state(out: &mut Vec<u8>, state: ThreadState) -> Result<(), Checkpo
             w_u8(out, 2);
             w_u32(out, r.0);
         }
-        ThreadState::WaitingOnMonitor(r) => {
-            w_u8(out, 3);
-            w_u32(out, r.0);
-        }
         ThreadState::BlockedOnJoin(t) => {
             w_u8(out, 4);
             w_u32(out, t.0);
@@ -767,8 +759,9 @@ fn enc_thread_state(out: &mut Vec<u8>, state: ThreadState) -> Result<(), Checkpo
             w_u32(out, class.0);
             w_u16(out, isolate.0);
         }
-        // Tags 6..=8 are reserved for the port-layer parked states, which
-        // quiescence rules out of every image.
+        // Tag 3 is never written (format 1's wait state; decode rejects
+        // it). Tags 6..=8 are reserved for the port-layer parked states,
+        // which quiescence rules out of every image.
         ThreadState::BlockedOnPort { .. }
         | ThreadState::BlockedOnFuture { .. }
         | ThreadState::BlockedOnQuota => {
@@ -792,7 +785,6 @@ fn enc_threads(vm: &Vm) -> Result<Vec<u8>, CheckpointError> {
         w_u16(&mut out, t.creator_isolate.0);
         w_opt_u32(&mut out, t.pending_exception.map(|r| r.0));
         w_bool(&mut out, t.interrupted);
-        w_opt_u32(&mut out, t.thread_obj.map(|r| r.0));
         match t.result {
             None => w_u8(&mut out, 0),
             Some(v) => {
@@ -803,6 +795,7 @@ fn enc_threads(vm: &Vm) -> Result<Vec<u8>, CheckpointError> {
         w_opt_u32(&mut out, t.uncaught.map(|r| r.0));
         w_u64(&mut out, t.insns_since_switch);
         w_bool(&mut out, t.is_service_pump);
+        w_bool(&mut out, t.guest_started);
         w_u32(&mut out, t.frames.len() as u32);
         for f in &t.frames {
             w_methodref(&mut out, f.method);
@@ -1227,12 +1220,10 @@ fn dec_heap(bytes: &[u8], vm: &Vm) -> Result<HeapParts, CheckpointError> {
             let owner = r_opt_u32(r)?.map(ThreadId);
             let count = r.u32()?;
             let entry_queue = r_tid_list(r)?;
-            let wait_set = r_tid_list(r)?;
             Some(Box::new(MonitorState {
                 owner,
                 count,
                 entry_queue,
-                wait_set,
             }))
         } else {
             None
@@ -1264,7 +1255,6 @@ fn dec_thread_state(r: &mut Reader<'_>) -> Result<ThreadState, CheckpointError> 
         0 => ThreadState::Runnable,
         1 => ThreadState::Sleeping { until: r.u64()? },
         2 => ThreadState::BlockedOnMonitor(GcRef(r.u32()?)),
-        3 => ThreadState::WaitingOnMonitor(GcRef(r.u32()?)),
         4 => ThreadState::BlockedOnJoin(ThreadId(r.u32()?)),
         5 => ThreadState::BlockedOnClassInit {
             class: ClassId(r.u32()?),
@@ -1272,7 +1262,8 @@ fn dec_thread_state(r: &mut Reader<'_>) -> Result<ThreadState, CheckpointError> 
         },
         9 => ThreadState::ServicePump,
         10 => ThreadState::Terminated,
-        // 6..=8: port-layer parked states — never valid in an image.
+        // 3: format 1's wait state; 6..=8: port-layer parked states —
+        // never valid in an image.
         _ => return Err(CheckpointError::Corrupt("thread state tag")),
     })
 }
@@ -1295,11 +1286,11 @@ fn dec_threads(bytes: &[u8], vm: &Vm) -> Result<ThreadParts, CheckpointError> {
         }
         let pending_exception = r_opt_u32(r)?.map(GcRef);
         let interrupted = r_bool(r)?;
-        let thread_obj = r_opt_u32(r)?.map(GcRef);
         let result = if r_bool(r)? { Some(r_value(r)?) } else { None };
         let uncaught = r_opt_u32(r)?.map(GcRef);
         let insns_since_switch = r.u64()?;
         let is_service_pump = r_bool(r)?;
+        let guest_started = r_bool(r)?;
         let n_frames = r_count(r, 8)?;
         let mut frames = Vec::new();
         for _ in 0..n_frames {
@@ -1364,12 +1355,12 @@ fn dec_threads(bytes: &[u8], vm: &Vm) -> Result<ThreadParts, CheckpointError> {
             creator_isolate,
             pending_exception,
             interrupted,
-            thread_obj,
             result,
             uncaught,
             insns_since_switch,
             frame_pool: FramePool::default(),
             is_service_pump,
+            guest_started,
             monitors_held: 0,
         });
     }
@@ -1544,7 +1535,7 @@ fn validate(
             if let Some(owner) = m.owner {
                 check_tid(owner, threads.len())?;
             }
-            for &t in m.entry_queue.iter().chain(m.wait_set.iter()) {
+            for &t in &m.entry_queue {
                 check_tid(t, threads.len())?;
             }
         }
@@ -1583,9 +1574,7 @@ fn validate(
 
     for t in threads {
         match t.state {
-            ThreadState::BlockedOnMonitor(r) | ThreadState::WaitingOnMonitor(r) => {
-                check_ref(r, slots)?;
-            }
+            ThreadState::BlockedOnMonitor(r) => check_ref(r, slots)?,
             ThreadState::BlockedOnJoin(j) => check_tid(j, threads.len())?,
             ThreadState::BlockedOnClassInit { class, isolate }
                 if class.0 as usize >= vm.classes.len()
@@ -1595,10 +1584,7 @@ fn validate(
             }
             _ => {}
         }
-        for r in [t.pending_exception, t.thread_obj, t.uncaught]
-            .into_iter()
-            .flatten()
-        {
+        for r in [t.pending_exception, t.uncaught].into_iter().flatten() {
             check_ref(r, slots)?;
         }
         if let Some(v) = t.result {
@@ -1681,9 +1667,41 @@ mod tests {
         let mut bytes = capture(&vm).unwrap().into_bytes();
         bytes[4] = 0xFF; // version high byte
         match UnitImage::from_bytes(bytes).unwrap_err() {
-            CheckpointError::BadVersion(v) => assert_eq!(v, 0xFF01),
+            CheckpointError::BadVersion(v) => assert_eq!(v, 0xFF00 | FORMAT_VERSION),
             other => panic!("expected BadVersion, got {other:?}"),
         }
+    }
+
+    /// Format 1 carried the `Object.wait` fields that format 2 dropped;
+    /// such an image is refused by version, never misread.
+    #[test]
+    fn format_1_image_is_rejected() {
+        let vm = Vm::new(VmOptions::isolated());
+        let mut bytes = capture(&vm).unwrap().into_bytes();
+        bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
+        assert_eq!(
+            UnitImage::from_bytes(bytes).unwrap_err(),
+            CheckpointError::BadVersion(1)
+        );
+    }
+
+    /// Thread-state tag 3 was format 1's `Object.wait` state. A
+    /// well-sealed image carrying it fails restore as corrupt.
+    #[test]
+    fn old_wait_state_tag_is_rejected() {
+        let vm = Vm::new(VmOptions::isolated());
+        let img = capture(&vm).unwrap();
+        let mut sections: [Vec<u8>; SECTION_COUNT] =
+            parse(img.as_bytes()).unwrap().map(<[u8]>::to_vec);
+        let mut threads = Vec::new();
+        w_u32(&mut threads, 1);
+        w_str(&mut threads, "waiter");
+        w_u8(&mut threads, 3);
+        w_u32(&mut threads, 0);
+        sections[5] = threads;
+        let hostile = UnitImage::from_bytes(assemble(sections).into_bytes()).expect("sealed");
+        let err = restore(&hostile, VmOptions::isolated(), |_| {}).unwrap_err();
+        assert_eq!(err, CheckpointError::Corrupt("thread state tag"));
     }
 
     #[test]

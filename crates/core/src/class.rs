@@ -10,15 +10,11 @@ use std::sync::Arc;
 
 /// A field (static or instance) as seen at runtime.
 #[derive(Debug, Clone)]
-pub struct FieldDesc {
+pub(crate) struct FieldDesc {
     /// Field name.
-    pub name: Arc<str>,
+    pub(crate) name: Arc<str>,
     /// Field descriptor.
-    pub descriptor: Arc<str>,
-    /// Access flags.
-    pub access: AccessFlags,
-    /// Class that declared this field.
-    pub declared_in: ClassId,
+    pub(crate) descriptor: Arc<str>,
 }
 
 /// The executable body of a bytecode method.
@@ -35,43 +31,43 @@ pub struct CodeBody {
 }
 
 /// A method as seen at runtime. Not `Clone`: it owns unit-confined
-/// [`VmRc`] handles (see `crate::vmrc`), which only crate code may
+/// `VmRc` handles (see `crate::vmrc`), which only crate code may
 /// share.
 #[derive(Debug)]
 pub struct RuntimeMethod {
     /// Method name.
-    pub name: Arc<str>,
+    pub(crate) name: Arc<str>,
     /// Method descriptor.
-    pub descriptor: Arc<str>,
+    pub(crate) descriptor: Arc<str>,
     /// Access flags.
-    pub access: AccessFlags,
+    pub(crate) access: AccessFlags,
     /// Argument slot count *including* the receiver for instance methods.
-    pub arg_slots: u16,
+    pub(crate) arg_slots: u16,
     /// `true` when the method returns a value.
-    pub returns_value: bool,
+    pub(crate) returns_value: bool,
     /// Bytecode body (`None` for native/abstract methods).
-    pub code: Option<VmRc<CodeBody>>,
+    pub(crate) code: Option<VmRc<CodeBody>>,
     /// Pre-decoded instruction stream for the threaded engine, built
     /// lazily on first execution and dropped with the owning loader.
     pub prepared: Option<VmRc<crate::engine::PreparedCode>>,
     /// Index into the VM's native-function table, bound lazily.
-    pub native_idx: Option<u32>,
+    pub(crate) native_idx: Option<u32>,
     /// Virtual-table slot, for non-static non-private non-init methods.
-    pub vslot: Option<u32>,
+    pub(crate) vslot: Option<u32>,
     /// `true` for `synchronized` methods.
-    pub synchronized: bool,
+    pub(crate) synchronized: bool,
 }
 
 impl RuntimeMethod {
     /// `true` for static methods.
-    pub fn is_static(&self) -> bool {
+    pub(crate) fn is_static(&self) -> bool {
         self.access.is_static()
     }
 }
 
 /// Initialization state of a (class, isolate) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitState {
+pub(crate) enum InitState {
     /// `<clinit>` has not run in this isolate.
     Uninitialized,
     /// `<clinit>` is running on the given thread.
@@ -87,16 +83,16 @@ pub enum InitState {
 #[derive(Debug, Clone)]
 pub struct TaskClassMirror {
     /// Initialization state in the owning isolate.
-    pub init: InitState,
+    pub(crate) init: InitState,
     /// Static-variable slots, in `static_fields` order.
     pub statics: Box<[Value]>,
     /// The isolate-private `java.lang.Class` object.
-    pub class_object: GcRef,
+    pub(crate) class_object: GcRef,
 }
 
 /// A resolved runtime-constant-pool entry (lazily filled cache).
 #[derive(Debug, Clone, Default)]
-pub enum RtCp {
+pub(crate) enum RtCp {
     /// Not resolved yet.
     #[default]
     Untouched,
@@ -154,7 +150,7 @@ pub enum RtCp {
 
 /// What a `Class` constant refers to: a real class or an array type.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClassTarget {
+pub(crate) enum ClassTarget {
     /// A loaded class.
     Class(ClassId),
     /// An array type, kept as its descriptor (e.g. `[I`, `[Ljava/lang/String;`).
@@ -164,44 +160,40 @@ pub enum ClassTarget {
 /// A loaded, linked class.
 #[derive(Debug)]
 pub struct RuntimeClass {
-    /// This class's id.
-    pub id: ClassId,
     /// Internal name (`java/lang/String`).
     pub name: Arc<str>,
     /// Defining loader.
-    pub loader: LoaderId,
+    pub(crate) loader: LoaderId,
     /// Isolate of the defining loader. For system-library classes this is
     /// `Isolate0`, but system code always *executes* in the caller's isolate.
-    pub isolate: IsolateId,
+    pub(crate) isolate: IsolateId,
     /// `true` for Java System Library classes (bootstrap loader): they run
     /// in the calling isolate and their frames are charged to the caller
     /// (paper §3.1, §3.2).
-    pub is_system: bool,
-    /// Class access flags.
-    pub access: AccessFlags,
+    pub(crate) is_system: bool,
     /// Superclass (`None` for `java/lang/Object`).
-    pub super_class: Option<ClassId>,
+    pub(crate) super_class: Option<ClassId>,
     /// Directly implemented interfaces.
-    pub interfaces: Vec<ClassId>,
+    pub(crate) interfaces: Vec<ClassId>,
     /// Flattened instance fields: inherited fields first, then own.
-    pub instance_fields: Vec<FieldDesc>,
+    pub(crate) instance_fields: Vec<FieldDesc>,
     /// Static fields declared by *this* class only.
-    pub static_fields: Vec<FieldDesc>,
+    pub(crate) static_fields: Vec<FieldDesc>,
     /// Declared methods.
     pub methods: Vec<RuntimeMethod>,
     /// Virtual dispatch table (inherits and overrides the super's).
-    pub vtable: Vec<MethodRef>,
+    pub(crate) vtable: Vec<MethodRef>,
     /// The class-file constant pool.
-    pub pool: ConstPool,
+    pub(crate) pool: ConstPool,
     /// Runtime constant-pool resolution cache, indexed by `CpIndex`.
-    pub rtcp: Vec<RtCp>,
+    pub(crate) rtcp: Vec<RtCp>,
     /// Task class mirrors, indexed by isolate id. In `Shared` isolation
     /// mode only index 0 is ever used — that is exactly the difference
     /// between LadyVM and I-JVM.
     pub mirrors: Vec<Option<TaskClassMirror>>,
     /// Set when the defining isolate has been terminated: every call into
     /// this class throws `StoppedIsolateException` (paper §3.3).
-    pub poisoned: bool,
+    pub(crate) poisoned: bool,
 }
 
 impl RuntimeClass {
@@ -223,7 +215,7 @@ impl RuntimeClass {
 
     /// Finds an instance field by name in the flattened layout
     /// (searching from the back so shadowing fields win).
-    pub fn find_instance_slot(&self, name: &str) -> Option<u32> {
+    pub(crate) fn find_instance_slot(&self, name: &str) -> Option<u32> {
         self.instance_fields
             .iter()
             .rposition(|f| &*f.name == name)
@@ -235,17 +227,10 @@ impl RuntimeClass {
         self.mirrors.get(iso.0 as usize).and_then(|m| m.as_ref())
     }
 
-    /// Mutable mirror access.
-    pub fn mirror_mut(&mut self, iso: IsolateId) -> Option<&mut TaskClassMirror> {
-        self.mirrors
-            .get_mut(iso.0 as usize)
-            .and_then(|m| m.as_mut())
-    }
-
     /// Rough metadata footprint of this class's mirrors, for the Figure 3
     /// memory measurements: the mirror array itself plus each mirror's
     /// statics array and bookkeeping.
-    pub fn mirror_metadata_bytes(&self) -> usize {
+    pub(crate) fn mirror_metadata_bytes(&self) -> usize {
         let per_mirror = |m: &TaskClassMirror| 16 + m.statics.len() * 8 + 8;
         self.mirrors.len() * 8 + self.mirrors.iter().flatten().map(per_mirror).sum::<usize>()
     }

@@ -1,6 +1,6 @@
 //! The direct-threaded dispatch engine.
 //!
-//! The raw interpreter ([`crate::interp`]) dispatches with one giant
+//! The raw interpreter (`crate::interp`) dispatches with one giant
 //! `match` over opcodes; this module replaces the match with *call
 //! threading*: pre-decode lowers every [`XInsn`] once into a [`TCell`] —
 //! a handler **function pointer** plus its operands packed into one

@@ -1,6 +1,6 @@
 //! The pre-decoded execution engine.
 //!
-//! The raw interpreter ([`crate::interp`]) re-decodes every instruction
+//! The raw interpreter (`crate::interp`) re-decodes every instruction
 //! from classfile bytes on every execution: an `Opcode::from_byte` table
 //! lookup plus operand re-reads, branch-offset arithmetic and switch
 //! re-alignment, and a constant-pool indirection for every field access
@@ -32,7 +32,7 @@
 //! The per-method [`PreparedCode`] cache hangs off
 //! [`crate::class::RuntimeMethod::prepared`]; it is built lazily and torn
 //! down with the owning loader when its isolate is terminated.
-//! [`crate::vm::VmOptions::engine`] selects [`EngineKind::Raw`] or
+//! `crate::vm::VmOptions::engine` selects [`EngineKind::Raw`] or
 //! [`EngineKind::Threaded`], keeping the raw interpreter alive for
 //! §4.4-style ablations, A/B benchmarking, and the differential oracle.
 //!
@@ -108,7 +108,7 @@ pub struct PreparedCode {
     pub virt_sites: RefCell<Vec<VirtSite>>,
     /// The quickened string-`ldc` sites, appended when an [`XInsn::LdcSlow`]
     /// over a string constant first executes.
-    pub ldc_sites: RefCell<Vec<LdcSite>>,
+    pub(crate) ldc_sites: RefCell<Vec<LdcSite>>,
     /// The direct-threaded cell stream, lowered from `insns` at predecode.
     /// Same length and indexing as `insns`. `Cell` so quickening can
     /// rewrite a site in place while the stream is shared with executing
@@ -120,10 +120,10 @@ pub struct PreparedCode {
     /// [`crate::vm::Vm::top_methods`]. `Cell` like the quickening caches:
     /// interior-mutable, sound because a `Vm` is never shared across
     /// threads.
-    pub hot_count: Cell<u64>,
+    pub(crate) hot_count: Cell<u64>,
     /// Profile counter: backward branches taken (loop iterations), under
     /// the same gate as `hot_count`.
-    pub back_edges: Cell<u64>,
+    pub(crate) back_edges: Cell<u64>,
 }
 
 impl PreparedCode {
@@ -142,12 +142,12 @@ impl PreparedCode {
     }
 
     /// The direct-threaded cell stream.
-    pub fn threaded_cells(&self) -> &[Cell<TCell>] {
+    pub(crate) fn threaded_cells(&self) -> &[Cell<TCell>] {
         &self.threaded
     }
 
     /// Approximate heap footprint, for metadata accounting.
-    pub fn metadata_bytes(&self) -> usize {
+    pub(crate) fn metadata_bytes(&self) -> usize {
         self.insns.len() * std::mem::size_of::<XInsn>()
             + self.idx_to_pc.len() * 4
             + self.pc_to_idx.len() * 4

@@ -44,7 +44,7 @@ pub enum Cmp {
 impl Cmp {
     /// Evaluates the comparison against zero.
     #[inline]
-    pub fn test(self, v: i32) -> bool {
+    pub(crate) fn test(self, v: i32) -> bool {
         match self {
             Cmp::Eq => v == 0,
             Cmp::Ne => v != 0,
@@ -99,7 +99,7 @@ pub enum XInsn {
     LdcSlow(u16),
     /// The quickened `ldc` of a string constant with a per-site monomorphic
     /// `(isolate, gc-epoch, ref)` cache; operand indexes
-    /// [`super::PreparedCode::ldc_sites`]. A hit pushes the interned ref
+    /// `super::PreparedCode::ldc_sites`. A hit pushes the interned ref
     /// without touching the isolate's intern map; the cache invalidates
     /// whenever the GC epoch advances (collections can reshape the heap,
     /// and isolate termination clears intern maps and always collects),
@@ -507,21 +507,21 @@ pub struct CallSite {
     /// Resolved target method.
     pub target: MethodRef,
     /// Argument slots including the receiver.
-    pub arg_slots: u16,
+    pub(crate) arg_slots: u16,
     /// The callee frame's local-slot count.
-    pub max_locals: u16,
+    pub(crate) max_locals: u16,
     /// The callee frame's operand-stack capacity hint.
-    pub max_stack: u16,
+    pub(crate) max_stack: u16,
     /// The callee's bytecode, shared with its `RuntimeMethod`.
     pub code: VmRc<CodeBody>,
     /// `true` when the target belongs to the Java System Library (skips
     /// the poisoning check and executes in the caller's isolate).
-    pub is_system: bool,
+    pub(crate) is_system: bool,
     /// The isolate the callee frame executes in: `None` to stay in the
     /// caller's isolate (system code, `Shared` mode), `Some` to migrate
     /// the thread (paper §3.1) — CPU accounting flushes exactly at that
     /// boundary, same as the unfused path.
-    pub frame_isolate: Option<IsolateId>,
+    pub(crate) frame_isolate: Option<IsolateId>,
 }
 
 /// Per-call-site state of a fused `invokevirtual`: the resolved vtable
@@ -530,9 +530,9 @@ pub struct CallSite {
 #[derive(Debug)]
 pub struct VirtSite {
     /// Slot in the receiver's vtable.
-    pub vslot: u32,
+    pub(crate) vslot: u32,
     /// Argument slots including the receiver.
-    pub arg_slots: u16,
+    pub(crate) arg_slots: u16,
     /// Last receiver class and the fused shape its target resolved to.
     /// Misses (megamorphic sites, unfuseable targets) fall back to the
     /// vtable lookup and the shared `invoke_resolved` path.
@@ -551,9 +551,9 @@ pub struct VirtSite {
 #[derive(Debug)]
 pub struct LdcSite {
     /// The original constant-pool index, for the re-resolve path.
-    pub cp: u16,
+    pub(crate) cp: u16,
     /// `(executing isolate, gc epoch at fill time, interned string)`.
-    pub cache: Cell<Option<(IsolateId, u64, crate::value::GcRef)>>,
+    pub(crate) cache: Cell<Option<(IsolateId, u64, crate::value::GcRef)>>,
 }
 
 /// Per-call-site state of a pre-decoded `invokeinterface`: the member

@@ -77,10 +77,7 @@ impl Vm {
         // Thread stacks (step 3): every frame charges its own isolate.
         for t in &self.threads {
             let tiso = clamp(t.current_isolate, niso);
-            for r in [t.pending_exception, t.uncaught, t.thread_obj]
-                .into_iter()
-                .flatten()
-            {
+            for r in [t.pending_exception, t.uncaught].into_iter().flatten() {
                 roots[tiso].push(r);
             }
             if let Some(Value::Ref(r)) = t.result {

@@ -10,19 +10,17 @@ use std::collections::VecDeque;
 
 /// Fixed per-object header cost used for accounting, matching the paper's
 /// observation that a plain `java.lang.Object` occupies 28 bytes in LadyVM.
-pub const OBJECT_HEADER_BYTES: usize = 28;
+pub(crate) const OBJECT_HEADER_BYTES: usize = 28;
 
 /// Monitor state of an object, allocated lazily on first `monitorenter`.
 #[derive(Debug, Default, Clone)]
-pub struct MonitorState {
+pub(crate) struct MonitorState {
     /// Thread currently owning the monitor.
-    pub owner: Option<ThreadId>,
+    pub(crate) owner: Option<ThreadId>,
     /// Recursive entry count of the owner.
-    pub count: u32,
+    pub(crate) count: u32,
     /// Threads blocked trying to enter.
-    pub entry_queue: VecDeque<ThreadId>,
-    /// Threads parked in `Object.wait`.
-    pub wait_set: VecDeque<ThreadId>,
+    pub(crate) entry_queue: VecDeque<ThreadId>,
 }
 
 /// The payload of a heap object.
@@ -75,7 +73,7 @@ impl ObjBody {
     }
 
     /// Approximate payload size in bytes, for resource accounting.
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         match self {
             ObjBody::Fields(f) => f.len() * 8,
             ObjBody::ArrBool(a) => a.len(),
@@ -98,16 +96,16 @@ pub struct Object {
     /// `java/lang/Object` class id; `body` carries the element kind.
     pub class: ClassId,
     /// For arrays, the full type descriptor (e.g. `[I`); empty for instances.
-    pub array_desc: String,
+    pub(crate) array_desc: String,
     /// Isolate this object is charged to (paper §3.2).
     pub owner: IsolateId,
     /// `true` when this object is a connection (file/socket); connections
     /// are accounted separately (paper §3.2).
-    pub is_connection: bool,
+    pub(crate) is_connection: bool,
     /// Mark bit for the collector.
-    pub mark: bool,
+    pub(crate) mark: bool,
     /// Lazily allocated monitor.
-    pub monitor: Option<Box<MonitorState>>,
+    pub(crate) monitor: Option<Box<MonitorState>>,
     /// The payload.
     pub body: ObjBody,
 }
@@ -119,7 +117,7 @@ impl Object {
     }
 
     /// `true` if the object is an array.
-    pub fn is_array(&self) -> bool {
+    pub(crate) fn is_array(&self) -> bool {
         !matches!(self.body, ObjBody::Fields(_))
     }
 }
@@ -135,7 +133,7 @@ pub struct Heap {
 
 impl Heap {
     /// Creates an empty heap.
-    pub fn new() -> Heap {
+    pub(crate) fn new() -> Heap {
         Heap::default()
     }
 
@@ -150,7 +148,7 @@ impl Heap {
     }
 
     /// Allocates an object, returning its handle.
-    pub fn alloc(&mut self, obj: Object) -> GcRef {
+    pub(crate) fn alloc(&mut self, obj: Object) -> GcRef {
         self.used_bytes += obj.size_bytes();
         self.live_objects += 1;
         match self.free.pop() {

@@ -13,7 +13,7 @@ pub struct IsolateId(pub u16);
 
 impl IsolateId {
     /// The privileged isolate.
-    pub const ISOLATE0: IsolateId = IsolateId(0);
+    pub(crate) const ISOLATE0: IsolateId = IsolateId(0);
 
     /// `true` for `Isolate0`.
     pub fn is_privileged(self) -> bool {

@@ -25,29 +25,29 @@ pub enum IsolateState {
 
 /// One isolate.
 #[derive(Debug)]
-pub struct Isolate {
+pub(crate) struct Isolate {
     /// This isolate's id.
-    pub id: IsolateId,
+    pub(crate) id: IsolateId,
     /// Human-readable name (bundle symbolic name under OSGi).
-    pub name: String,
+    pub(crate) name: String,
     /// The class loader this isolate was built from.
-    pub loader: LoaderId,
+    pub(crate) loader: LoaderId,
     /// Lifecycle state.
-    pub state: IsolateState,
+    pub(crate) state: IsolateState,
     /// Per-isolate interned strings (paper §3.1: each bundle has its own
     /// string map, so `==` does not hold across bundles).
-    pub strings: HashMap<String, GcRef>,
+    pub(crate) strings: HashMap<String, GcRef>,
     /// Resource counters.
-    pub stats: ResourceStats,
+    pub(crate) stats: ResourceStats,
     /// The isolate's port table: names of the cross-unit services it
     /// currently exports (see [`crate::port`]). Termination revokes all
     /// of them.
-    pub exported_ports: Vec<String>,
+    pub(crate) exported_ports: Vec<String>,
 }
 
 impl Isolate {
     /// Creates a fresh active isolate.
-    pub fn new(id: IsolateId, name: &str, loader: LoaderId) -> Isolate {
+    pub(crate) fn new(id: IsolateId, name: &str, loader: LoaderId) -> Isolate {
         Isolate {
             id,
             name: name.to_owned(),
@@ -60,7 +60,7 @@ impl Isolate {
     }
 
     /// `true` while the isolate may execute code.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.state == IsolateState::Active
     }
 

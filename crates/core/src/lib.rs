@@ -59,22 +59,22 @@ pub mod checkpoint;
 pub mod class;
 pub mod engine;
 pub mod error;
-pub mod gc;
+pub(crate) mod gc;
 pub mod heap;
 pub mod ids;
-pub mod interp;
+pub(crate) mod interp;
 pub mod isolate;
 pub(crate) mod mailbox;
-pub mod monitor;
+pub(crate) mod monitor;
 pub mod natives;
 pub mod port;
 pub mod sched;
-pub mod terminate;
+pub(crate) mod terminate;
 pub mod thread;
 pub mod trace;
 pub mod value;
 pub mod vm;
-pub mod vmrc;
+pub(crate) mod vmrc;
 pub mod wire;
 
 // Concurrency models over the crate-private cluster protocols; see the
@@ -92,10 +92,10 @@ pub mod prelude {
     pub use crate::ids::{ClassId, IsolateId, LoaderId, MethodRef, ThreadId};
     pub use crate::isolate::IsolateState;
     pub use crate::natives::{NativeFn, NativeResult};
-    pub use crate::port::{ExportError, HubStats, MailboxQuota, MailboxStat, ServiceStat};
+    pub use crate::port::{ExportError, HubStats, MailboxStat, ServiceStat};
     pub use crate::sched::{
-        CheckpointTicket, Cluster, ClusterBuilder, ClusterCtl, ClusterOutcome, SchedulerKind,
-        UnitHandle, UnitId, UnitOutcome,
+        CheckpointTicket, Cluster, ClusterBuilder, ClusterOutcome, SchedulerKind, UnitHandle,
+        UnitId, UnitOutcome,
     };
     pub use crate::trace::{
         ClusterMetrics, EventKind, LatencyHistogram, MethodHotness, TraceConfig, TraceEvent,

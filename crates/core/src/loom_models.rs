@@ -197,7 +197,7 @@ fn loom_hub_wake_token_not_lost() {
         let hub = Arc::new(PortHub::with_quota(MailboxQuota::UNBOUNDED));
         let dest = UnitId::new(0);
         let sender = UnitId::new(1);
-        hub.export(dest, std::sync::Arc::from("svc"), IsolateId(0));
+        hub.export(dest, std::sync::Arc::from("svc"));
 
         let poster = {
             let hub = Arc::clone(&hub);
@@ -257,7 +257,7 @@ fn loom_quota_park_release_not_lost() {
         }));
         let dest = UnitId::new(0);
         let sender = UnitId::new(1);
-        hub.export(dest, std::sync::Arc::from("svc"), IsolateId(0));
+        hub.export(dest, std::sync::Arc::from("svc"));
         // Fill the quota, then park the sender on it.
         let first = hub
             .send_request(sender, None, "svc", PayloadKind::Int, vec![9], false)

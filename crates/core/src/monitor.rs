@@ -1,4 +1,4 @@
-//! Object monitors: `monitorenter`/`monitorexit`, `wait`/`notify`.
+//! Object monitors: `monitorenter`/`monitorexit`.
 //!
 //! Attack A2 exploits monitors on *shared* `java.lang.Class` objects: in
 //! `Shared` mode a bundle can grab the lock a victim's synchronized static
@@ -66,62 +66,6 @@ pub(crate) fn monitor_exit(vm: &mut Vm, tid: ThreadId, obj: GcRef) -> Result<(),
             // monitorenter and contends again (deterministic round-robin).
             vm.wake(next);
         }
-    }
-    Ok(())
-}
-
-/// `Object.wait()`: releases the monitor entirely and parks the thread.
-/// Returns the saved recursion count to restore on wake.
-#[allow(dead_code)] // wired up by Object.wait natives in ijvm-jsl follow-ups
-pub(crate) fn monitor_wait(vm: &mut Vm, tid: ThreadId, obj: GcRef) -> Result<u32, Thrown> {
-    let o = vm.heap.get_mut(obj);
-    let Some(mon) = o.monitor.as_mut() else {
-        return Err(illegal_monitor_state());
-    };
-    if mon.owner != Some(tid) {
-        return Err(illegal_monitor_state());
-    }
-    let saved = mon.count;
-    mon.owner = None;
-    mon.count = 0;
-    mon.wait_set.push_back(tid);
-    let next = mon.entry_queue.pop_front();
-    let t = vm.thread_mut(tid);
-    t.state = ThreadState::WaitingOnMonitor(obj);
-    t.monitors_held -= 1;
-    if let Some(next) = next {
-        vm.wake(next);
-    }
-    Ok(saved)
-}
-
-/// `Object.notify()`/`notifyAll()`: moves waiters to the entry queue.
-#[allow(dead_code)]
-pub(crate) fn monitor_notify(
-    vm: &mut Vm,
-    tid: ThreadId,
-    obj: GcRef,
-    all: bool,
-) -> Result<(), Thrown> {
-    let o = vm.heap.get_mut(obj);
-    let Some(mon) = o.monitor.as_mut() else {
-        return Err(illegal_monitor_state());
-    };
-    if mon.owner != Some(tid) {
-        return Err(illegal_monitor_state());
-    }
-    let mut to_wake = Vec::new();
-    while let Some(w) = mon.wait_set.pop_front() {
-        mon.entry_queue.push_back(w);
-        to_wake.push(w);
-        if !all {
-            break;
-        }
-    }
-    // Woken threads recontend for the monitor when scheduled: they retry
-    // the acquisition at their wait-resume point.
-    for w in to_wake {
-        vm.wake(w);
     }
     Ok(())
 }

@@ -49,7 +49,7 @@ pub type NativeFn = Arc<dyn Fn(&mut Vm, ThreadId, &[Value]) -> NativeResult + Se
 
 /// Registry keyed by `(class_name, method_name, descriptor)`.
 #[derive(Default)]
-pub struct NativeRegistry {
+pub(crate) struct NativeRegistry {
     fns: Vec<NativeFn>,
     index: HashMap<(String, String, String), u32>,
 }
@@ -64,12 +64,18 @@ impl std::fmt::Debug for NativeRegistry {
 
 impl NativeRegistry {
     /// Creates an empty registry.
-    pub fn new() -> NativeRegistry {
+    pub(crate) fn new() -> NativeRegistry {
         NativeRegistry::default()
     }
 
     /// Registers (or replaces) a native implementation.
-    pub fn register(&mut self, class_name: &str, method_name: &str, descriptor: &str, f: NativeFn) {
+    pub(crate) fn register(
+        &mut self,
+        class_name: &str,
+        method_name: &str,
+        descriptor: &str,
+        f: NativeFn,
+    ) {
         let key = (
             class_name.to_owned(),
             method_name.to_owned(),
@@ -86,7 +92,12 @@ impl NativeRegistry {
     }
 
     /// Looks up the binding index for a native method.
-    pub fn lookup(&self, class_name: &str, method_name: &str, descriptor: &str) -> Option<u32> {
+    pub(crate) fn lookup(
+        &self,
+        class_name: &str,
+        method_name: &str,
+        descriptor: &str,
+    ) -> Option<u32> {
         self.index
             .get(&(
                 class_name.to_owned(),
@@ -98,18 +109,8 @@ impl NativeRegistry {
 
     /// Fetches a bound function by index (cheap `Arc` clone so the caller
     /// can invoke it while mutating the VM).
-    pub fn get(&self, idx: u32) -> NativeFn {
+    pub(crate) fn get(&self, idx: u32) -> NativeFn {
         Arc::clone(&self.fns[idx as usize])
-    }
-
-    /// Number of registered natives.
-    pub fn len(&self) -> usize {
-        self.fns.len()
-    }
-
-    /// `true` when no natives are registered.
-    pub fn is_empty(&self) -> bool {
-        self.fns.is_empty()
     }
 }
 
@@ -128,7 +129,7 @@ mod tests {
             Arc::new(|_, _, _| NativeResult::Return(None)),
         );
         let idx = reg.lookup("C", "m", "()V").unwrap();
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.fns.len(), 1);
         // Re-registering replaces in place.
         reg.register(
             "C",
@@ -137,6 +138,6 @@ mod tests {
             Arc::new(|_, _, _| NativeResult::Return(Some(Value::Int(1)))),
         );
         assert_eq!(reg.lookup("C", "m", "()V").unwrap(), idx);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.fns.len(), 1);
     }
 }

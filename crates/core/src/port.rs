@@ -39,7 +39,7 @@
 //! property the cross-scheduler differential tests pin.
 //!
 //! **Sender-pays accounting (paper §3.2 lifted across units).** Copy
-//! cost is charged through [`crate::accounting::ResourceStats::charge_cpu`]
+//! cost is charged through `crate::accounting::ResourceStats::charge_cpu`
 //! to the isolate that *produces* the bytes: the calling isolate pays
 //! for the request's serialization, the serving isolate pays for the
 //! reply's. The charge is a deterministic function of the payload
@@ -81,11 +81,11 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// Exception raised at a caller whose in-flight or future call targets a
 /// service of a terminated isolate.
-pub const SERVICE_REVOKED_EXCEPTION: &str = "org/ijvm/ServiceRevokedException";
+pub(crate) const SERVICE_REVOKED_EXCEPTION: &str = "org/ijvm/ServiceRevokedException";
 
 /// Fixed per-message accounting charge, on top of one exactly-counted
 /// "instruction" per serialized byte. Charged to the *sender's* isolate
-/// through [`crate::accounting::ResourceStats::charge_cpu`] at the point
+/// through `crate::accounting::ResourceStats::charge_cpu` at the point
 /// the copy is produced.
 pub const MSG_BASE_COST: u64 = 16;
 
@@ -144,16 +144,6 @@ pub(crate) enum Envelope {
     },
 }
 
-/// One exported service as the hub sees it.
-#[derive(Debug)]
-struct HubService {
-    /// Isolate that owns (and is accountable for) the service.
-    #[allow(dead_code)]
-    isolate: IsolateId,
-    /// Set by isolate termination: calls fail with `ServiceRevoked`.
-    revoked: bool,
-}
-
 /// Failure modes of [`PortHub::send_request`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SendError {
@@ -188,18 +178,17 @@ pub(crate) enum SendOutcome {
 /// exempt — a full mailbox must never stop a reply from unblocking its
 /// caller, or two units calling each other could deadlock on quota.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct MailboxQuota {
+pub(crate) struct MailboxQuota {
     /// Maximum admitted-but-unserved requests per destination unit.
-    pub max_messages: u32,
+    pub(crate) max_messages: u32,
     /// Maximum admitted-but-unserved request payload bytes per
     /// destination unit.
-    pub max_bytes: u64,
+    pub(crate) max_bytes: u64,
 }
 
 impl MailboxQuota {
     /// No flow control — the default.
-    pub const UNBOUNDED: MailboxQuota = MailboxQuota {
+    pub(crate) const UNBOUNDED: MailboxQuota = MailboxQuota {
         max_messages: u32::MAX,
         max_bytes: u64::MAX,
     };
@@ -252,10 +241,12 @@ pub(crate) fn shard_of(name: &str) -> usize {
 /// its park.
 #[derive(Debug, Default)]
 struct RegistryShard {
-    /// Exports by name, then by exporting unit. Both levels are
-    /// `BTreeMap` so bare-name resolution deterministically picks the
-    /// lowest exporting unit, independent of export order.
-    services: BTreeMap<Arc<str>, BTreeMap<UnitId, HubService>>,
+    /// Exports by name, then by exporting unit, to the export's revoked
+    /// flag (set by isolate termination: calls fail with
+    /// `ServiceRevoked`). Both levels are `BTreeMap` so bare-name
+    /// resolution deterministically picks the lowest exporting unit,
+    /// independent of export order.
+    services: BTreeMap<Arc<str>, BTreeMap<UnitId, bool>>,
     /// Requests parked awaiting an export (service-tracker semantics):
     /// `(name, unit filter, envelope)`.
     unresolved: Vec<(Arc<str>, Option<UnitId>, Envelope)>,
@@ -402,16 +393,14 @@ impl PortHub {
     /// admission check (their senders are already blocked on the reply)
     /// but are still accounted, so the destination sheds new load until
     /// it works through them.
-    pub(crate) fn export(&self, unit: UnitId, name: Arc<str>, isolate: IsolateId) {
+    pub(crate) fn export(&self, unit: UnitId, name: Arc<str>) {
         let routed: Vec<Envelope> = {
             let mut shard = self.registry[shard_of(&name)].lock().unwrap();
-            shard.services.entry(Arc::clone(&name)).or_default().insert(
-                unit,
-                HubService {
-                    isolate,
-                    revoked: false,
-                },
-            );
+            shard
+                .services
+                .entry(Arc::clone(&name))
+                .or_default()
+                .insert(unit, false);
             let pending = std::mem::take(&mut shard.unresolved);
             let mut routed = Vec::new();
             for (n, filter, env) in pending {
@@ -443,8 +432,8 @@ impl PortHub {
         {
             let mut shard = self.registry[shard_of(name)].lock().unwrap();
             if let Some(units) = shard.services.get_mut(name) {
-                if let Some(svc) = units.get_mut(&unit) {
-                    svc.revoked = true;
+                if let Some(revoked) = units.get_mut(&unit) {
+                    *revoked = true;
                 }
             }
         }
@@ -478,9 +467,9 @@ impl PortHub {
             // bare-name path picks the lowest live exporter; the key's
             // `Arc<str>` is reused — the hot path allocates no name copy.
             if let Some((key, units)) = shard.services.get_key_value(name) {
-                for (u, svc) in units.iter() {
+                for (u, &revoked) in units.iter() {
                     if target.is_none_or(|t| t == *u) {
-                        if svc.revoked {
+                        if revoked {
                             any_revoked = true;
                         } else {
                             resolved = Some((*u, Arc::clone(key)));
@@ -738,8 +727,8 @@ impl PortHub {
         for shard in self.registry.iter() {
             let shard = shard.lock().unwrap();
             for (name, units) in shard.services.iter() {
-                for (u, svc) in units.iter() {
-                    if !svc.revoked {
+                for (u, &revoked) in units.iter() {
+                    if !revoked {
                         out.push((u.index(), name.to_string()));
                     }
                 }
@@ -750,7 +739,7 @@ impl PortHub {
     }
 
     /// A read-only snapshot of the hub — the embedder-facing view
-    /// ([`crate::sched::Cluster::hub_stats`]). Coherent across shards:
+    /// ([`crate::sched::ClusterOutcome::hub_stats`]). Coherent across shards:
     /// every registry shard and every mailbox's quota cell is held
     /// locked simultaneously while the rows are read, so totals cannot
     /// tear between shard locks. The pile-up cannot deadlock: every
@@ -764,8 +753,8 @@ impl PortHub {
         let mut services: Vec<ServiceStat> = Vec::new();
         for shard in shards.iter() {
             for (name, units) in shard.services.iter() {
-                for (u, svc) in units.iter() {
-                    if !svc.revoked {
+                for (u, &revoked) in units.iter() {
+                    if !revoked {
                         services.push(ServiceStat {
                             unit: u.index(),
                             name: name.to_string(),
@@ -796,16 +785,14 @@ impl PortHub {
             services,
             mailboxes,
             unresolved_requests: shards.iter().map(|s| s.unresolved.len()).sum(),
-            quota: self.quota,
         }
     }
 }
 
 /// Read-only snapshot of a cluster's hub: live exports, per-unit mailbox
 /// depths and quota state. The embedder-facing replacement for direct
-/// hub access — obtain one from [`crate::sched::Cluster::hub_stats`]
-/// before the run, or from
-/// [`crate::sched::ClusterOutcome::hub_stats`] after it.
+/// hub access — obtain one from
+/// [`crate::sched::ClusterOutcome::hub_stats`] after a run.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct HubStats {
@@ -816,8 +803,6 @@ pub struct HubStats {
     pub mailboxes: Vec<MailboxStat>,
     /// Requests parked awaiting an export that has not happened yet.
     pub unresolved_requests: usize,
-    /// The cluster-wide per-unit admission quota.
-    pub quota: MailboxQuota,
 }
 
 /// One live export in a [`HubStats`] snapshot.
@@ -841,7 +826,7 @@ pub struct MailboxStat {
     /// Requests admitted under quota and not yet served.
     pub admitted_messages: u32,
     /// Payload bytes admitted under quota and not yet served.
-    pub admitted_bytes: u64,
+    pub(crate) admitted_bytes: u64,
     /// Senders currently parked on this unit's quota.
     pub parked_senders: usize,
 }
@@ -1056,8 +1041,8 @@ impl Vm {
     /// already-exported service into the hub registry. Called by
     /// [`crate::sched::Cluster::submit`].
     pub(crate) fn attach_port(&mut self, unit: UnitId, hub: Arc<PortHub>) {
-        for (name, pump) in &self.port.pumps {
-            hub.export(unit, Arc::clone(name), pump.isolate);
+        for name in self.port.pumps.keys() {
+            hub.export(unit, Arc::clone(name));
         }
         if let Some(ts) = self.trace.as_mut() {
             ts.unit = crate::trace::clamp_id(unit.index());
@@ -2165,7 +2150,7 @@ fn do_export(vm: &mut Vm, iso: IsolateId, name: &str, handler: GcRef) -> Result<
         i.exported_ports.push(name.to_owned());
     }
     if let Some((unit, hub)) = vm.port.attach.clone() {
-        hub.export(unit, name_arc, iso);
+        hub.export(unit, name_arc);
     }
     vm.trace_emit(
         crate::trace::EventKind::ServiceExport,
@@ -2656,7 +2641,7 @@ const PUB: AccessFlags = AccessFlags::PUBLIC;
 const PUBSTATIC: AccessFlags = AccessFlags(AccessFlags::PUBLIC.0 | AccessFlags::STATIC.0);
 
 /// `ijvm/Service`: the typed cross-unit call surface.
-pub fn service_class() -> ClassFile {
+pub(crate) fn service_class() -> ClassFile {
     let mut cb = ClassBuilder::new("ijvm/Service", "java/lang/Object", PUB | AccessFlags::FINAL);
     cb.native_method(
         "export",
@@ -2684,7 +2669,7 @@ pub fn service_class() -> ClassFile {
 /// `ijvm/Future`: a pending cross-unit reply, created by `Service.post`.
 /// The guest object carries only an id; the reply routing lives in the
 /// VM's port state. No public constructor — only `post` mints them.
-pub fn future_class() -> ClassFile {
+pub(crate) fn future_class() -> ClassFile {
     let mut cb = ClassBuilder::new("ijvm/Future", "java/lang/Object", PUB | AccessFlags::FINAL);
     cb.field("id", "I", AccessFlags::PRIVATE);
     cb.native_method("get", "()I", PUB);
@@ -2695,7 +2680,7 @@ pub fn future_class() -> ClassFile {
 }
 
 /// `ijvm/Port`: the one-way message surface.
-pub fn port_class() -> ClassFile {
+pub(crate) fn port_class() -> ClassFile {
     let mut cb = ClassBuilder::new("ijvm/Port", "java/lang/Object", PUB | AccessFlags::FINAL);
     cb.native_method("send", "(Ljava/lang/String;I)V", PUBSTATIC);
     cb.native_method("send", "(Ljava/lang/String;Ljava/lang/Object;)V", PUBSTATIC);
@@ -2923,7 +2908,7 @@ fn register_natives(vm: &mut Vm) {
 /// surface exists on every booted VM; the natives work unattached
 /// (same-VM services) and attach to a cluster hub on
 /// [`crate::sched::Cluster::submit`].
-pub fn install(vm: &mut Vm) -> crate::error::Result<()> {
+pub(crate) fn install(vm: &mut Vm) -> crate::error::Result<()> {
     register_natives(vm);
     vm.install_system_class(&service_class())?;
     vm.install_system_class(&port_class())?;
@@ -2966,8 +2951,8 @@ mod tests {
         assert_eq!(hub.unresolved_requests(), 1);
         assert!(hub.quiescent());
         // ...and is routed on export.
-        hub.export(UnitId::new(2), Arc::from("svc"), IsolateId(0));
-        hub.export(UnitId::new(1), Arc::from("svc"), IsolateId(0));
+        hub.export(UnitId::new(2), Arc::from("svc"));
+        hub.export(UnitId::new(1), Arc::from("svc"));
         assert_eq!(hub.unresolved_requests(), 0);
         assert!(hub.has_mail(UnitId::new(2)), "first exporter got the call");
         assert!(hub.has_woken());
@@ -3002,7 +2987,7 @@ mod tests {
         });
         let dest = UnitId::new(0);
         let sender = UnitId::new(3);
-        hub.export(dest, Arc::from("svc"), IsolateId(0));
+        hub.export(dest, Arc::from("svc"));
         // Two admissions fill the quota...
         sent(hub.send_request(sender, None, "svc", PayloadKind::Int, vec![1], false));
         sent(hub.send_request(sender, None, "svc", PayloadKind::Int, vec![2], false));
@@ -3051,8 +3036,8 @@ mod tests {
     #[test]
     fn hub_revocation_fails_sends_and_addressing_targets_units() {
         let hub = PortHub::default();
-        hub.export(UnitId::new(0), Arc::from("svc"), IsolateId(1));
-        hub.export(UnitId::new(1), Arc::from("svc"), IsolateId(1));
+        hub.export(UnitId::new(0), Arc::from("svc"));
+        hub.export(UnitId::new(1), Arc::from("svc"));
         // Addressed send goes to the named unit even if not the lowest.
         hub.send_request(
             UnitId::new(5),
@@ -3106,7 +3091,7 @@ mod tests {
             proptest::prop_assert_eq!(shard, shard_of(name.clone().as_str()));
             let hub = PortHub::default();
             for &u in units.iter() {
-                hub.export(UnitId::new(u), Arc::from(name.as_str()), IsolateId(0));
+                hub.export(UnitId::new(u), Arc::from(name.as_str()));
             }
             sent(hub.send_request(
                 UnitId::new(99),
@@ -3137,7 +3122,7 @@ mod tests {
             max_bytes: 1 << 20,
         };
         let hub = Arc::new(PortHub::with_quota(quota));
-        hub.export(UnitId::new(0), Arc::from("svc"), IsolateId(0));
+        hub.export(UnitId::new(0), Arc::from("svc"));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let senders: Vec<_> = (1u32..5)
             .map(|s| {

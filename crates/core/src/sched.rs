@@ -28,7 +28,7 @@
 //! ```
 //!
 //! **Scheduling modes** ([`SchedulerKind`], selected via
-//! [`crate::vm::VmOptions::scheduler`]):
+//! [`ClusterBuilder::scheduler`]):
 //!
 //! * [`SchedulerKind::Deterministic`] — one logical worker on the calling
 //!   thread, strict FIFO over a single queue, no stealing. Byte-for-byte
@@ -53,7 +53,7 @@
 //! **Exact accounting at migration points.** While a worker runs a unit
 //! it accumulates exactly-counted instructions into a private
 //! [`WorkerCpuBuffer`]; the buffer drains through
-//! [`crate::accounting::ResourceStats::charge_cpu`] into the shared
+//! `crate::accounting::ResourceStats::charge_cpu` into the shared
 //! [`ClusterAccounts`] *before* the unit is parked where another worker
 //! could steal it (and when it finishes or is terminated). A unit's
 //! pending in-VM counter (`insns_since_switch`) is flushed by
@@ -61,10 +61,10 @@
 //! in flight across a migration and per-isolate totals are bit-identical
 //! across scheduler modes — the invariant the cross-mode proptests pin.
 //!
-//! **Unit events: kills and captures.** [`ClusterCtl::terminate`]
+//! **Unit events: kills and captures.** [`UnitHandle::terminate`]
 //! requests an isolate kill from any thread; whichever worker next picks
 //! the unit up delivers it, *before* its next slice.
-//! [`ClusterCtl::terminate_at`] and [`ClusterCtl::checkpoint_at`] address
+//! [`UnitHandle::terminate_at`] and [`UnitHandle::checkpoint_at`] address
 //! an event to a point of the unit's own virtual clock `V`. Both kinds
 //! share one pending list, and delivery follows one contract:
 //!
@@ -119,7 +119,7 @@ pub enum SchedulerKind {
 
 impl SchedulerKind {
     /// Number of workers this mode schedules onto.
-    pub fn workers(self) -> usize {
+    pub(crate) fn workers(self) -> usize {
         match self {
             SchedulerKind::Deterministic => 1,
             SchedulerKind::Parallel(n) => n.max(1),
@@ -173,16 +173,22 @@ impl UnitHandle {
         self.ctl.terminate(self.id, isolate);
     }
 
-    /// Like [`UnitHandle::terminate`], delivered at the unit's vclock
-    /// `at_vclock` (see [`ClusterCtl::terminate_at`]).
+    /// Like [`UnitHandle::terminate`], delivered at the first quantum
+    /// boundary where the unit's vclock is at or past `at_vclock`, or at
+    /// cluster stall if the unit never gets there. The vclock counts the
+    /// unit's own instructions, so the kill point is the same under every
+    /// scheduler mode when the unit's quantum boundaries up to
+    /// `at_vclock` are: inside a compute-only stretch, or at a blocked
+    /// fixpoint.
     pub fn terminate_at(&self, isolate: IsolateId, at_vclock: u64) {
         self.ctl.terminate_at(self.id, isolate, at_vclock);
     }
 
     /// Requests a checkpoint image of this unit, cut at the first
-    /// quantum boundary where its vclock is at or past `at_vclock` (see
-    /// [`ClusterCtl::checkpoint_at`] for the delivery and determinism
-    /// contract). Returns a [`CheckpointTicket`]; call
+    /// quantum boundary where its vclock is at or past `at_vclock`, on
+    /// the terms of [`UnitHandle::terminate_at`]; a unit that is not at a
+    /// clean boundary there is retried until its traffic drains, or
+    /// settled at its final state. Returns a [`CheckpointTicket`]; call
     /// [`CheckpointTicket::wait`] after [`Cluster::run`] returns (or
     /// from another OS thread, under the parallel scheduler).
     pub fn checkpoint_at(&self, at_vclock: u64) -> CheckpointTicket {
@@ -242,7 +248,7 @@ pub struct UnitReport {
     /// Quantum slices the unit consumed.
     pub slices: u64,
     /// Times the unit changed workers between consecutive slices.
-    pub migrations: u64,
+    pub(crate) migrations: u64,
 }
 
 /// One finished unit: its VM (for result/console/stats inspection) and
@@ -284,8 +290,7 @@ pub struct ClusterOutcome {
     /// when tracing was off.
     pub trace_events: Vec<TraceEvent>,
     /// Final read-only hub snapshot: services still exported, mailbox
-    /// depths and quota accounting at wrap-up (see
-    /// [`Cluster::hub_stats`] for the mid-build equivalent).
+    /// depths and quota accounting at wrap-up.
     pub hub_stats: HubStats,
 }
 
@@ -354,11 +359,6 @@ impl CheckpointTicket {
             slot = self.inner.ready.wait(slot).unwrap();
         }
     }
-
-    /// Non-blocking probe: the result if the request has been settled.
-    pub fn try_take(&self) -> Option<Result<UnitImage, CheckpointError>> {
-        self.inner.slot.lock().unwrap().take()
-    }
 }
 
 /// What a [`UnitEvent`] does when it lands.
@@ -385,8 +385,9 @@ struct UnitEvent {
 }
 
 /// Shared remote-control handle for a cluster (cloneable, thread-safe).
+/// Embedders reach it through a [`UnitHandle`], addressed to one unit.
 #[derive(Debug, Clone, Default)]
-pub struct ClusterCtl {
+pub(crate) struct ClusterCtl {
     inner: Arc<CtlInner>,
 }
 
@@ -406,7 +407,7 @@ impl ClusterCtl {
     /// slice — the dying isolate's threads stop at the next quantum
     /// boundary on whatever core they run. Requests filed before
     /// [`Cluster::run`] are delivered before the unit's first slice.
-    pub fn terminate(&self, unit: UnitId, isolate: IsolateId) {
+    pub(crate) fn terminate(&self, unit: UnitId, isolate: IsolateId) {
         self.terminate_at(unit, isolate, 0);
     }
 
@@ -418,7 +419,7 @@ impl ClusterCtl {
     /// the unit's quantum boundaries up to `at_vclock` are: inside a
     /// compute-only stretch, or at a blocked fixpoint — not inside
     /// mail-driven work, whose quanta end wherever a drain ran dry.
-    pub fn terminate_at(&self, unit: UnitId, isolate: IsolateId, at_vclock: u64) {
+    pub(crate) fn terminate_at(&self, unit: UnitId, isolate: IsolateId, at_vclock: u64) {
         self.file(unit, at_vclock, EventAction::Kill(isolate));
     }
 
@@ -433,7 +434,7 @@ impl ClusterCtl {
     /// boundaries until the traffic drains; a unit that finishes, or a
     /// cluster that stalls, settles the request against the unit's
     /// final state instead.
-    pub fn checkpoint_at(&self, unit: UnitId, at_vclock: u64) -> CheckpointTicket {
+    pub(crate) fn checkpoint_at(&self, unit: UnitId, at_vclock: u64) -> CheckpointTicket {
         let inner = Arc::new(TicketInner::default());
         self.file(unit, at_vclock, EventAction::Capture(Arc::clone(&inner)));
         CheckpointTicket { inner }
@@ -501,7 +502,7 @@ impl ClusterCtl {
 
 /// Default instruction budget of one quantum slice (mirrors the default
 /// in-VM scheduler quantum, so one slice is one thread quantum).
-pub const DEFAULT_SLICE: u64 = 10_000;
+pub(crate) const DEFAULT_SLICE: u64 = 10_000;
 
 /// Builds a [`Cluster`]: scheduling mode, slice length, and the
 /// [`VmOptions`] defaults its units are expected to boot with. This is
@@ -538,7 +539,7 @@ impl Default for ClusterBuilder {
 impl ClusterBuilder {
     /// A deterministic cluster with the default slice and `Isolated`
     /// unit defaults.
-    pub fn new() -> ClusterBuilder {
+    pub(crate) fn new() -> ClusterBuilder {
         ClusterBuilder::default()
     }
 
@@ -555,13 +556,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the [`VmOptions`] defaults for this cluster's units and
-    /// absorbs the options' [`VmOptions::scheduler`] as the cluster's
-    /// mode (call [`ClusterBuilder::scheduler`] afterwards to override).
-    /// The defaults are advisory — [`Cluster::options`] hands them back
-    /// for booting units — since units are built by the embedder.
+    /// Sets the [`VmOptions`] defaults for this cluster's units (the
+    /// scheduling mode comes only from [`ClusterBuilder::scheduler`]).
+    /// Images restore under these defaults ([`Cluster::submit_image`]),
+    /// and their trace mode turns the cluster's recorder on; units the
+    /// embedder boots itself keep their own options.
     pub fn vm_options(mut self, options: VmOptions) -> ClusterBuilder {
-        self.kind = options.scheduler;
         self.vm_options = options;
         self
     }
@@ -572,7 +572,7 @@ impl ClusterBuilder {
     /// charged sender-pays for the payload) and retried at quantum
     /// boundaries as the destination drains — flow control, not failure.
     /// Replies are exempt so request/reply cycles cannot deadlock. The
-    /// default is [`MailboxQuota::UNBOUNDED`].
+    /// default is `MailboxQuota::UNBOUNDED`.
     pub fn mailbox_quota(mut self, max_messages: u32, max_bytes: u64) -> ClusterBuilder {
         self.mailbox_quota = MailboxQuota {
             max_messages,
@@ -610,22 +610,6 @@ impl Cluster {
     /// Starts building a cluster (the v2 embedding entry point).
     pub fn builder() -> ClusterBuilder {
         ClusterBuilder::new()
-    }
-
-    /// The [`VmOptions`] defaults units of this cluster should boot with
-    /// (as configured through [`ClusterBuilder::vm_options`]).
-    pub fn options(&self) -> &VmOptions {
-        &self.vm_defaults
-    }
-
-    /// A read-only snapshot of the cluster's message hub: exported
-    /// services, per-unit mailbox depths and quota accounting, unresolved
-    /// requests. This replaces the old `Cluster::hub()` accessor, which
-    /// leaked the hub's internals (`Arc<PortHub>`) into embedder code;
-    /// the hub itself is now crate-private. [`ClusterOutcome::hub_stats`]
-    /// carries the final snapshot past [`Cluster::run`].
-    pub fn hub_stats(&self) -> HubStats {
-        self.hub.stats()
     }
 
     /// Submits a prepared VM (isolates created, entry threads spawned via
@@ -690,17 +674,6 @@ impl Cluster {
             handles.push(self.submit(vm));
         }
         Ok(handles)
-    }
-
-    /// Number of submitted units.
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
-    }
-
-    /// The remote-control handle (clone it before [`Cluster::run`] to
-    /// file termination requests from other threads mid-run).
-    pub fn ctl(&self) -> ClusterCtl {
-        self.ctl.clone()
     }
 
     /// Runs every unit until the cluster quiesces and returns the
@@ -1299,11 +1272,7 @@ impl Shared {
         // crosses threads — the rings were single-writer until here.
         let mut trace_events = Vec::new();
         let metrics = if self.trace_on {
-            let mut m = ClusterMetrics {
-                steals,
-                migrations,
-                ..ClusterMetrics::default()
-            };
+            let mut m = ClusterMetrics::default();
             let mut worker_dropped = 0;
             for mut wt in self.worker_traces.into_inner().unwrap() {
                 m.dispatches += wt.dispatches;
@@ -1457,11 +1426,6 @@ mod tests {
 
     #[test]
     fn builder_absorbs_options_and_overrides() {
-        let mut options = VmOptions::isolated();
-        options.scheduler = SchedulerKind::Parallel(3);
-        let cluster = Cluster::builder().vm_options(options).slice(123).build();
-        assert_eq!(cluster.kind, SchedulerKind::Parallel(3));
-        assert_eq!(cluster.slice, 123);
         let cluster = Cluster::builder()
             .vm_options(VmOptions::isolated())
             .scheduler(SchedulerKind::Parallel(2))

@@ -193,15 +193,14 @@ impl Vm {
     }
 
     /// Wakes a thread that termination needs to make progress, pulling it
-    /// out of sleeps, waits and monitor queues.
+    /// out of sleeps, joins and monitor queues.
     fn unpark_for_termination(&mut self, tid: crate::ids::ThreadId) {
         let t = tid.0 as usize;
         match self.threads[t].state {
             ThreadState::Runnable | ThreadState::Terminated => {}
-            ThreadState::BlockedOnMonitor(obj) | ThreadState::WaitingOnMonitor(obj) => {
+            ThreadState::BlockedOnMonitor(obj) => {
                 if let Some(mon) = self.heap.get_mut(obj).monitor.as_mut() {
                     mon.entry_queue.retain(|&x| x != tid);
-                    mon.wait_set.retain(|&x| x != tid);
                 }
                 self.wake(tid);
             }

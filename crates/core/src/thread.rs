@@ -11,7 +11,7 @@
 //! — migrates between OS workers at quantum-slice boundaries, so a green
 //! thread's next quantum may run on a different core than its last. The
 //! thread's `insns_since_switch` counter is flushed through
-//! [`crate::accounting::ResourceStats::charge_cpu`] at every such
+//! `crate::accounting::ResourceStats::charge_cpu` at every such
 //! boundary ([`crate::vm::Vm::flush_pending_cpu`]), which keeps exact
 //! per-isolate CPU attribution bit-identical no matter where slices ran.
 
@@ -80,7 +80,7 @@ impl FramePool {
     }
 
     /// Recycles both value buffers of a popped frame.
-    pub fn recycle_frame(&mut self, frame: Frame) {
+    pub(crate) fn recycle_frame(&mut self, frame: Frame) {
         self.recycle(frame.locals);
         self.recycle(frame.stack);
     }
@@ -136,39 +136,39 @@ mod tests {
 
 /// One interpreter frame.
 #[derive(Debug)]
-pub struct Frame {
+pub(crate) struct Frame {
     /// The executing method.
-    pub method: MethodRef,
+    pub(crate) method: MethodRef,
     /// The method's class (copied out of `method` for fast access).
-    pub class: ClassId,
+    pub(crate) class: ClassId,
     /// Isolate this frame executes in. System-library frames execute in
     /// the calling isolate (paper §3.1), so this is never a "system"
     /// placeholder — it is always a real isolate.
-    pub isolate: IsolateId,
+    pub(crate) isolate: IsolateId,
     /// Isolate of the caller, restored into the thread on return.
-    pub caller_isolate: IsolateId,
+    pub(crate) caller_isolate: IsolateId,
     /// `true` when the method belongs to the Java System Library; the GC
     /// skips such frames during accounting (paper §3.2 step 3).
-    pub is_system: bool,
+    pub(crate) is_system: bool,
     /// The bytecode body.
-    pub code: VmRc<CodeBody>,
+    pub(crate) code: VmRc<CodeBody>,
     /// Current program counter (byte offset).
-    pub pc: u32,
+    pub(crate) pc: u32,
     /// Local variable slots.
-    pub locals: Vec<Value>,
+    pub(crate) locals: Vec<Value>,
     /// Operand stack.
-    pub stack: Vec<Value>,
+    pub(crate) stack: Vec<Value>,
     /// Monitor entered on behalf of a `synchronized` method, exited on
     /// return or unwind.
-    pub sync_object: Option<GcRef>,
+    pub(crate) sync_object: Option<GcRef>,
     /// `true` when this frame's `synchronized` monitor has not been
     /// acquired yet (thread-entry frames take it lazily, on first step).
-    pub needs_sync_enter: bool,
+    pub(crate) needs_sync_enter: bool,
     /// Set by isolate termination (paper §3.3): when this frame returns,
     /// the return value is discarded and a `StoppedIsolateException` for
     /// the given isolate is raised instead, because the caller frame
     /// belongs to a terminated isolate.
-    pub poisoned_return: Option<IsolateId>,
+    pub(crate) poisoned_return: Option<IsolateId>,
 }
 
 /// Why a thread is not currently runnable.
@@ -183,8 +183,6 @@ pub enum ThreadState {
     },
     /// Blocked entering a contended monitor.
     BlockedOnMonitor(GcRef),
-    /// Parked in `Object.wait`.
-    WaitingOnMonitor(GcRef),
     /// Waiting for another thread to finish.
     BlockedOnJoin(ThreadId),
     /// Waiting for another thread to finish running `<clinit>`.
@@ -226,52 +224,55 @@ pub enum ThreadState {
 #[derive(Debug)]
 pub struct VmThread {
     /// This thread's id.
-    pub id: ThreadId,
+    pub(crate) id: ThreadId,
     /// Debug name.
-    pub name: String,
+    pub(crate) name: String,
     /// The frame stack; last entry is the active frame.
-    pub frames: Vec<Frame>,
+    pub(crate) frames: Vec<Frame>,
     /// Scheduler state.
-    pub state: ThreadState,
+    pub(crate) state: ThreadState,
     /// The isolate the thread is currently executing in — the "isolate
     /// reference" of the paper, updated on inter-isolate calls.
     pub current_isolate: IsolateId,
     /// The isolate that created the thread (threads are charged to their
     /// creator, paper §3.2, but may execute code from any isolate).
-    pub creator_isolate: IsolateId,
+    pub(crate) creator_isolate: IsolateId,
     /// Exception in flight (set before unwinding).
-    pub pending_exception: Option<GcRef>,
+    pub(crate) pending_exception: Option<GcRef>,
     /// Interrupt flag; set by isolate termination on system-library leaf
     /// frames so blocking calls abort (paper §3.3).
-    pub interrupted: bool,
-    /// The associated `java/lang/Thread` object, if started from Java.
-    pub thread_obj: Option<GcRef>,
+    pub(crate) interrupted: bool,
     /// Value returned by the thread's entry method, for host callers.
     pub result: Option<Value>,
     /// Uncaught exception that terminated the thread, if any.
     pub uncaught: Option<GcRef>,
     /// Instructions executed since the thread last switched isolates;
     /// flushed into `ResourceStats::cpu_exact` at switch points.
-    pub insns_since_switch: u64,
+    pub(crate) insns_since_switch: u64,
     /// Recycled locals/operand-stack buffers for this thread's frames.
     pub frame_pool: FramePool,
     /// `true` for service pump threads (see [`crate::port`]): when such a
     /// thread drains its last frame it re-parks awaiting the next request
     /// instead of terminating, and its handler failures become service
     /// replies instead of uncaught-exception thread deaths.
-    pub is_service_pump: bool,
+    pub(crate) is_service_pump: bool,
+    /// `true` for threads a guest started with `Thread.start`
+    /// ([`crate::vm::Vm::spawn_thread_on`]). The guest's `Thread` object
+    /// keeps the id for `join`, `isAlive` and `interrupt`, so
+    /// [`crate::vm::Vm::release_thread`] never gives such a slot back.
+    pub(crate) guest_started: bool,
     /// Distinct monitors this thread owns (not their recursion counts),
-    /// kept by `monitorenter`/`monitorexit`/`wait` and by the
+    /// kept by `monitorenter`/`monitorexit` and by the
     /// collector's sweep. Not serialized: restore recounts it from the
     /// heap's monitor owners. A thread that finishes while it still owns
     /// a monitor keeps its slot ([`crate::vm::Vm::release_thread`]), so
     /// the next thread with its id cannot inherit the lock.
-    pub monitors_held: u32,
+    pub(crate) monitors_held: u32,
 }
 
 impl VmThread {
     /// Creates a thread with no frames yet.
-    pub fn new(id: ThreadId, name: &str, isolate: IsolateId) -> VmThread {
+    pub(crate) fn new(id: ThreadId, name: &str, isolate: IsolateId) -> VmThread {
         VmThread {
             id,
             name: name.to_owned(),
@@ -281,18 +282,18 @@ impl VmThread {
             creator_isolate: isolate,
             pending_exception: None,
             interrupted: false,
-            thread_obj: None,
             result: None,
             uncaught: None,
             insns_since_switch: 0,
             frame_pool: FramePool::default(),
             is_service_pump: false,
+            guest_started: false,
             monitors_held: 0,
         }
     }
 
     /// `true` when the thread can be scheduled.
-    pub fn is_runnable(&self) -> bool {
+    pub(crate) fn is_runnable(&self) -> bool {
         self.state == ThreadState::Runnable
     }
 
@@ -301,13 +302,8 @@ impl VmThread {
         self.state == ThreadState::Terminated
     }
 
-    /// The active frame.
-    pub fn top_frame(&self) -> Option<&Frame> {
-        self.frames.last()
-    }
-
     /// The active frame, mutably.
-    pub fn top_frame_mut(&mut self) -> Option<&mut Frame> {
+    pub(crate) fn top_frame_mut(&mut self) -> Option<&mut Frame> {
         self.frames.last_mut()
     }
 }

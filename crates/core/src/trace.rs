@@ -54,14 +54,14 @@ pub enum TraceConfig {
     #[default]
     Off,
     /// Record every event kind into a per-VM ring of
-    /// [`DEFAULT_RING_CAPACITY`] events, plus per-worker scheduler rings
+    /// `DEFAULT_RING_CAPACITY` events, plus per-worker scheduler rings
     /// under the cluster.
     Full,
 }
 
 impl TraceConfig {
     /// `true` when events are recorded.
-    pub fn is_on(self) -> bool {
+    pub(crate) fn is_on(self) -> bool {
         !matches!(self, TraceConfig::Off)
     }
 }
@@ -69,21 +69,21 @@ impl TraceConfig {
 /// Events a traced VM ring holds before wrapping. 65536 × 24 bytes =
 /// 1.5 MiB per traced VM — generous enough that accounting-exactness
 /// checks over whole benchmark runs see every `CpuCharge` event.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// Events a per-worker scheduler ring holds. Scheduler events are ~4
 /// orders of magnitude rarer than VM events (one dispatch per quantum
 /// slice, not per instruction).
-pub const WORKER_RING_CAPACITY: usize = 1 << 13;
+pub(crate) const WORKER_RING_CAPACITY: usize = 1 << 13;
 
 /// Sentinel for [`TraceEvent::isolate`] / [`TraceEvent::thread`] /
 /// [`TraceEvent::unit`] when the dimension does not apply (e.g. a
 /// hub-level charge with no running thread, or a standalone VM that was
 /// never attached to a cluster).
-pub const TRACE_NONE: u8 = u8::MAX;
+pub(crate) const TRACE_NONE: u8 = u8::MAX;
 
 /// What happened. The discriminant is the `kind` byte of the packed
-/// [`TraceEvent`]; [`EventKind::name`] is the label used in Chrome trace
+/// [`TraceEvent`]; `EventKind::name` is the label used in Chrome trace
 /// export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -159,7 +159,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable label, used as the Chrome trace event name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::QuantumEnd => "quantum_end",
             EventKind::IsolateSwitch => "isolate_switch",
@@ -196,7 +196,7 @@ impl EventKind {
 ///
 /// `vclock` is the deterministic timestamp; `wall_us` is microseconds
 /// since the recorder's epoch, for human correlation only. Ids wider
-/// than a byte are clamped to [`TRACE_NONE`]; the payload word carries
+/// than a byte are clamped to `TRACE_NONE`; the payload word carries
 /// the kind-specific datum (see [`EventKind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -210,12 +210,12 @@ pub struct TraceEvent {
     pub wall_us: u32,
     /// What happened.
     pub kind: EventKind,
-    /// Cluster unit index, or [`TRACE_NONE`] outside a cluster.
+    /// Cluster unit index, or `TRACE_NONE` outside a cluster.
     pub unit: u8,
-    /// Isolate concerned, or [`TRACE_NONE`].
+    /// Isolate concerned, or `TRACE_NONE`.
     pub isolate: u8,
     /// Green thread concerned (worker index for scheduler events), or
-    /// [`TRACE_NONE`].
+    /// `TRACE_NONE`.
     pub thread: u8,
 }
 
@@ -299,8 +299,6 @@ impl TraceRing {
 pub struct LatencyHistogram {
     buckets: [u64; 32],
     count: u64,
-    sum: u64,
-    max: u64,
 }
 
 impl LatencyHistogram {
@@ -309,8 +307,6 @@ impl LatencyHistogram {
         let bucket = (64 - u64::leading_zeros(v.saturating_sub(1)) as usize).min(31);
         self.buckets[bucket] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
     }
 
     /// Number of samples recorded.
@@ -318,32 +314,8 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample recorded.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Arithmetic mean, or 0 with no samples.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The raw bucket counts; bucket `i` spans `(2^(i-1), 2^i]`.
-    pub fn buckets(&self) -> &[u64; 32] {
-        &self.buckets
-    }
-
     /// Inclusive upper bound of bucket `i`.
-    pub fn bucket_bound(i: usize) -> u64 {
+    pub(crate) fn bucket_bound(i: usize) -> u64 {
         1u64 << i.min(63)
     }
 
@@ -365,13 +337,11 @@ impl LatencyHistogram {
     }
 
     /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -398,11 +368,11 @@ pub struct VmMetrics {
     /// per-isolate `cpu_exact` deltas observed while tracing).
     pub cpu_charged_insns: u64,
     /// `StoppedIsolateException`s constructed.
-    pub sie_raised: u64,
+    pub(crate) sie_raised: u64,
     /// Green threads that terminated.
-    pub threads_finished: u64,
+    pub(crate) threads_finished: u64,
     /// Isolates terminated.
-    pub isolates_terminated: u64,
+    pub(crate) isolates_terminated: u64,
     /// Blocking hub calls sent.
     pub calls_sent: u64,
     /// Oneway hub messages sent.
@@ -410,7 +380,7 @@ pub struct VmMetrics {
     /// Requests dispatched onto this VM's service pumps.
     pub calls_served: u64,
     /// Replies posted by this VM's service pumps.
-    pub replies_sent: u64,
+    pub(crate) replies_sent: u64,
     /// Replies delivered to this VM's blocked callers.
     pub replies_delivered: u64,
     /// Async hub posts sent (`Service.post`).
@@ -424,9 +394,9 @@ pub struct VmMetrics {
     /// Quota-parked sends that were retried successfully.
     pub quota_unparks: u64,
     /// Services exported on the hub.
-    pub services_exported: u64,
+    pub(crate) services_exported: u64,
     /// Services revoked.
-    pub services_revoked: u64,
+    pub(crate) services_revoked: u64,
     /// Largest batch of envelopes drained from the mailbox at once.
     pub mailbox_high_water: u64,
     /// Caller-side call round-trip latency in vclock ticks.
@@ -442,7 +412,7 @@ pub struct VmMetrics {
 impl VmMetrics {
     /// Folds another VM's counters into this one (snapshots are *not*
     /// concatenated — per-unit rows stay on each unit's VM).
-    pub fn absorb(&mut self, other: &VmMetrics) {
+    pub(crate) fn absorb(&mut self, other: &VmMetrics) {
         self.vclock += other.vclock;
         self.isolate_switches += other.isolate_switches;
         self.gc_epochs += other.gc_epochs;
@@ -476,10 +446,6 @@ impl VmMetrics {
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct ClusterMetrics {
-    /// Units taken from a victim's queue (work stealing).
-    pub steals: u64,
-    /// Cross-worker unit migrations.
-    pub migrations: u64,
     /// Units dispatched from a worker's own queue.
     pub dispatches: u64,
     /// Units parked awaiting mail.
@@ -487,12 +453,12 @@ pub struct ClusterMetrics {
     /// Parked units woken by fresh mail.
     pub unit_unparks: u64,
     /// Kill requests delivered.
-    pub kills: u64,
+    pub(crate) kills: u64,
     /// Units that ran to completion.
     pub units_finished: u64,
     /// Scheduler events lost to worker-ring wrap.
     pub dropped_events: u64,
-    /// All unit VMs' counters folded together ([`VmMetrics::absorb`]).
+    /// All unit VMs' counters folded together (`VmMetrics::absorb`).
     pub totals: VmMetrics,
 }
 
@@ -772,20 +738,19 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1015);
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.buckets()[0], 1, "1 lands in bucket 0");
-        assert_eq!(h.buckets()[1], 1, "2 lands in bucket 1");
-        assert_eq!(h.buckets()[2], 2, "3 and 4 land in bucket 2");
-        assert_eq!(h.buckets()[3], 1, "5 lands in bucket 3");
-        assert_eq!(h.buckets()[10], 1, "1000 lands in bucket 10");
+        assert_eq!(h.buckets[0], 1, "1 lands in bucket 0");
+        assert_eq!(h.buckets[1], 1, "2 lands in bucket 1");
+        assert_eq!(h.buckets[2], 2, "3 and 4 land in bucket 2");
+        assert_eq!(h.buckets[3], 1, "5 lands in bucket 3");
+        assert_eq!(h.buckets[10], 1, "1000 lands in bucket 10");
         assert!(h.quantile(0.5) <= 4, "p50 of mostly-small samples");
         assert_eq!(h.quantile(1.0), 1024, "p100 covers the 1000 sample");
         let mut other = LatencyHistogram::default();
         other.record(7);
         h.merge(&other);
         assert_eq!(h.count(), 7);
-        assert_eq!(h.max(), 1000);
+        assert_eq!(h.buckets[3], 2, "the merged 7 joins 5 in bucket 3");
+        assert_eq!(h.quantile(1.0), 1024);
     }
 
     #[test]

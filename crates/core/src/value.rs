@@ -1,6 +1,5 @@
 //! Runtime values and heap references.
 
-use crate::ids::ClassId;
 use std::fmt;
 
 /// A handle to a heap object. Handles are slab indices and stay stable for
@@ -30,7 +29,7 @@ pub enum Value {
 
 impl Value {
     /// The default value for a field of the given descriptor.
-    pub fn default_for_descriptor(desc: &str) -> Value {
+    pub(crate) fn default_for_descriptor(desc: &str) -> Value {
         match desc.as_bytes().first() {
             Some(b'J') => Value::Long(0),
             Some(b'F') => Value::Float(0.0),
@@ -58,7 +57,7 @@ impl Value {
     }
 
     /// Reads a `float`.
-    pub fn as_float(self) -> f32 {
+    pub(crate) fn as_float(self) -> f32 {
         match self {
             Value::Float(v) => v,
             other => panic!("expected Float, found {other:?}"),
@@ -82,11 +81,6 @@ impl Value {
         }
     }
 
-    /// `true` if this is a reference slot (including null).
-    pub fn is_reference(self) -> bool {
-        matches!(self, Value::Null | Value::Ref(_))
-    }
-
     /// Reference equality as used by `if_acmpeq`.
     pub fn ref_eq(self, other: Value) -> bool {
         match (self, other) {
@@ -108,38 +102,6 @@ impl fmt::Display for Value {
             Value::Ref(r) => write!(f, "@{}", r.0),
         }
     }
-}
-
-/// Element kind of a primitive array, used by `newarray`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArrayKind {
-    /// `boolean[]`
-    Bool,
-    /// `byte[]`
-    Byte,
-    /// `char[]`
-    Char,
-    /// `short[]`
-    Short,
-    /// `int[]`
-    Int,
-    /// `long[]`
-    Long,
-    /// `float[]`
-    Float,
-    /// `double[]`
-    Double,
-    /// `T[]` for reference element type `T`.
-    Ref(ClassRefKind),
-}
-
-/// What a reference-array's element type refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ClassRefKind {
-    /// Elements are instances of (subclasses of) a class.
-    Class(ClassId),
-    /// Elements are themselves arrays (nested arrays erase to this).
-    Array,
 }
 
 #[cfg(test)]

@@ -62,20 +62,15 @@ pub struct VmOptions {
     /// Execution engine (see [`crate::engine::EngineKind`]): pre-decoded
     /// direct-threaded dispatch by default, with the raw byte interpreter
     /// kept for ablation, A/B comparison and differential testing.
-    pub engine: crate::engine::EngineKind,
+    pub(crate) engine: crate::engine::EngineKind,
     /// Superinstruction fusion in the threaded engine's pre-decoder
     /// (peephole-folded `Load+Load+Iadd+Store` and compare-and-branch
     /// shapes). On by default; separable for ablation and for the
     /// fused-vs-unfused differential tests. Ignored by the raw engine.
-    pub superinstructions: bool,
+    pub(crate) superinstructions: bool,
     /// Per-isolate resource accounting. Defaults to `true` in `Isolated`
     /// mode; separable so benchmarks can ablate accounting cost.
     pub accounting: bool,
-    /// Cluster scheduling mode (see [`crate::sched::SchedulerKind`]).
-    /// Consulted by [`crate::sched::ClusterBuilder::vm_options`]; a single
-    /// `Vm` always runs its own green threads deterministically —
-    /// parallelism is across `Send` VM units, never inside one.
-    pub scheduler: crate::sched::SchedulerKind,
     /// Hard heap limit; allocation beyond it triggers GC, then
     /// `OutOfMemoryError`.
     pub heap_limit_bytes: usize,
@@ -109,7 +104,6 @@ impl Default for VmOptions {
             engine: crate::engine::EngineKind::default(),
             superinstructions: true,
             accounting: true,
-            scheduler: crate::sched::SchedulerKind::default(),
             heap_limit_bytes: 256 << 20,
             max_threads: 4096,
             max_frames: 1024,
@@ -147,12 +141,6 @@ impl VmOptions {
         self
     }
 
-    /// The same options with a different cluster scheduling mode.
-    pub fn with_scheduler(mut self, scheduler: crate::sched::SchedulerKind) -> VmOptions {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// The same options with a different flight-recorder mode.
     pub fn with_trace(mut self, trace: crate::trace::TraceConfig) -> VmOptions {
         self.trace = trace;
@@ -162,22 +150,20 @@ impl VmOptions {
 
 /// A class loader: a named class path attached to an isolate.
 #[derive(Debug)]
-pub struct Loader {
-    /// This loader's id.
-    pub id: LoaderId,
+pub(crate) struct Loader {
     /// Debug name.
-    pub name: String,
+    pub(crate) name: String,
     /// The isolate built from this loader. Meaningless for the bootstrap
     /// loader (its classes are system classes).
-    pub isolate: IsolateId,
+    pub(crate) isolate: IsolateId,
     /// `true` only for the bootstrap loader.
-    pub is_system: bool,
+    pub(crate) is_system: bool,
     /// name → class-file bytes.
     // lint: allow(determinism) — probed by class name during loading,
     // never iterated; hash order is unobservable.
-    pub classpath: HashMap<String, Vec<u8>>,
+    pub(crate) classpath: HashMap<String, Vec<u8>>,
     /// Loaders consulted after bootstrap delegation (bundle imports).
-    pub delegates: Vec<LoaderId>,
+    pub(crate) delegates: Vec<LoaderId>,
 }
 
 /// Why [`Vm::run`] returned.
@@ -213,9 +199,9 @@ pub(crate) enum Thrown {
 /// Well-known bootstrap classes, cached after first resolution.
 #[derive(Debug, Default)]
 pub(crate) struct WellKnown {
-    pub object: Option<ClassId>,
-    pub string: Option<ClassId>,
-    pub class: Option<ClassId>,
+    pub(crate) object: Option<ClassId>,
+    pub(crate) string: Option<ClassId>,
+    pub(crate) class: Option<ClassId>,
 }
 
 /// The virtual machine.
@@ -277,7 +263,6 @@ impl Vm {
     pub fn new(options: VmOptions) -> Vm {
         let trace_enabled = options.trace.is_on();
         let bootstrap = Loader {
-            id: LoaderId::BOOTSTRAP,
             name: "bootstrap".to_owned(),
             isolate: IsolateId::ISOLATE0,
             is_system: true,
@@ -321,7 +306,7 @@ impl Vm {
     }
 
     /// The configured options.
-    pub fn options(&self) -> &VmOptions {
+    pub(crate) fn options(&self) -> &VmOptions {
         &self.options
     }
 
@@ -340,7 +325,6 @@ impl Vm {
         let iso = IsolateId(self.isolates.len() as u16);
         let loader = LoaderId(self.loaders.len() as u16);
         self.loaders.push(Loader {
-            id: loader,
             name: format!("loader:{name}"),
             isolate: iso,
             is_system: false,
@@ -362,7 +346,6 @@ impl Vm {
     pub(crate) fn restore_push_loader(&mut self, name: String, isolate: IsolateId) -> LoaderId {
         let id = LoaderId(self.loaders.len() as u16);
         self.loaders.push(Loader {
-            id,
             name,
             isolate,
             is_system: false,
@@ -396,21 +379,11 @@ impl Vm {
             .ok_or(VmError::BadIsolate(iso))
     }
 
-    /// The isolate an existing loader is attached to.
-    pub fn isolate_of_loader(&self, loader: LoaderId) -> IsolateId {
-        self.loaders[loader.0 as usize].isolate
-    }
-
     /// Looks up an isolate.
-    pub fn isolate(&self, iso: IsolateId) -> Result<&Isolate> {
+    pub(crate) fn isolate(&self, iso: IsolateId) -> Result<&Isolate> {
         self.isolates
             .get(iso.0 as usize)
             .ok_or(VmError::BadIsolate(iso))
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn isolate_mut(&mut self, iso: IsolateId) -> &mut Isolate {
-        &mut self.isolates[iso.0 as usize]
     }
 
     /// Number of isolates ever created.
@@ -426,7 +399,7 @@ impl Vm {
     }
 
     /// Adds class-file bytes to the bootstrap (system) class path.
-    pub fn add_system_class_bytes(&mut self, name: &str, bytes: Vec<u8>) {
+    pub(crate) fn add_system_class_bytes(&mut self, name: &str, bytes: Vec<u8>) {
         self.add_class_bytes(LoaderId::BOOTSTRAP, name, bytes);
     }
 
@@ -525,7 +498,7 @@ impl Vm {
     }
 
     /// Links a parsed class file into the VM under `loader`.
-    pub fn define_class(&mut self, loader: LoaderId, cf: ClassFile) -> Result<ClassId> {
+    pub(crate) fn define_class(&mut self, loader: LoaderId, cf: ClassFile) -> Result<ClassId> {
         let name: Arc<str> = Arc::from(cf.name()?);
 
         let super_class = match cf.super_name()? {
@@ -556,8 +529,6 @@ impl Vm {
             let fd = FieldDesc {
                 name: Arc::from(cf.pool.utf8_at(f.name)?),
                 descriptor: Arc::from(cf.pool.utf8_at(f.descriptor)?),
-                access: f.access,
-                declared_in: id,
             };
             if f.access.is_static() {
                 static_fields.push(fd);
@@ -653,12 +624,10 @@ impl Vm {
 
         let rtcp = vec![RtCp::Untouched; cf.pool.len() + 1];
         let class = RuntimeClass {
-            id,
             name: Arc::clone(&name),
             loader,
             isolate,
             is_system,
-            access: cf.access,
             super_class,
             interfaces,
             instance_fields,
@@ -687,11 +656,6 @@ impl Vm {
         &self.classes[id.0 as usize]
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn class_mut(&mut self, id: ClassId) -> &mut RuntimeClass {
-        &mut self.classes[id.0 as usize]
-    }
-
     /// Looks up an already-loaded class by loader and name.
     pub fn find_class(&self, loader: LoaderId, name: &str) -> Option<ClassId> {
         self.class_index
@@ -709,7 +673,7 @@ impl Vm {
     }
 
     /// `true` if `sub` equals or descends from `sup` (classes only).
-    pub fn is_subclass_of(&self, sub: ClassId, sup: ClassId) -> bool {
+    pub(crate) fn is_subclass_of(&self, sub: ClassId, sup: ClassId) -> bool {
         let mut cur = Some(sub);
         while let Some(c) = cur {
             if c == sup {
@@ -722,7 +686,7 @@ impl Vm {
 
     /// `true` if `sub` is assignable to `sup` (walks superclasses and
     /// interfaces transitively).
-    pub fn is_assignable_to(&self, sub: ClassId, sup: ClassId) -> bool {
+    pub(crate) fn is_assignable_to(&self, sub: ClassId, sup: ClassId) -> bool {
         if self.is_subclass_of(sub, sup) {
             return true;
         }
@@ -1264,7 +1228,6 @@ impl Vm {
         for t in &self.threads {
             match t.state {
                 ThreadState::Sleeping { .. }
-                | ThreadState::WaitingOnMonitor(_)
                 | ThreadState::BlockedOnPort { .. }
                 | ThreadState::BlockedOnFuture { .. }
                 | ThreadState::BlockedOnQuota
@@ -1388,19 +1351,18 @@ impl Vm {
     /// reports it, and gives the thread's slot back when nothing can name
     /// it again. Slots are freed in stack order: the slot is popped only
     /// when `tid` is the last one, the thread has terminated, it is not a
-    /// service pump, no guest `Thread` object can join or name it, its
-    /// result is not a reference (the slot would be that object's only
-    /// root) and it owns no monitor. Otherwise the slot stays. The next
-    /// spawn reuses a popped id, so a released `tid` must not be used
-    /// again: release only threads the caller spawned itself, never a
-    /// guest-started one, whose `Thread` object keeps its id.
+    /// service pump, no guest started it (its `Thread` object keeps the
+    /// id), its result is not a reference (the slot would be that
+    /// object's only root) and it owns no monitor. Otherwise the slot
+    /// stays. The next spawn reuses a popped id, so a released `tid` must
+    /// not be used again.
     pub fn release_thread(&mut self, tid: ThreadId) -> Result<Option<Value>> {
         let outcome = self.thread_outcome(tid);
         let releasable = self.threads.last().is_some_and(|t| {
             t.id == tid
                 && t.is_terminated()
                 && !t.is_service_pump
-                && t.thread_obj.is_none()
+                && !t.guest_started
                 && !matches!(t.result, Some(Value::Ref(_)))
                 && t.monitors_held == 0
         });
@@ -1436,7 +1398,7 @@ impl Vm {
 
     /// Flushes every thread's pending exactly-counted instructions
     /// (`insns_since_switch`) into its *current* isolate through
-    /// [`ResourceStats::charge_cpu`] — the same attribution an
+    /// `ResourceStats::charge_cpu` — the same attribution an
     /// isolate-switch flush would make, just taken early. The cluster
     /// scheduler calls this at every quantum-slice boundary so no
     /// instruction is in flight when a unit migrates between workers;
@@ -1464,7 +1426,7 @@ impl Vm {
     }
 
     /// The detail message of an exception object, if it has one.
-    pub fn exception_message(&self, ex: GcRef) -> Option<String> {
+    pub(crate) fn exception_message(&self, ex: GcRef) -> Option<String> {
         let obj = self.heap.get(ex);
         let class = &self.classes[obj.class.0 as usize];
         let slot = class.find_instance_slot("message")?;
@@ -1906,7 +1868,8 @@ impl Vm {
 
     /// Spawns a green thread executing the *virtual* method
     /// `name:descriptor` on `receiver` (e.g. `Runnable.run()V`), charged
-    /// to `creator`. Used by `Thread.start`.
+    /// to `creator`. Used by `Thread.start`, so the thread is marked
+    /// guest-started and [`Vm::release_thread`] keeps its slot.
     pub fn spawn_thread_on(
         &mut self,
         thread_name: &str,
@@ -1925,7 +1888,9 @@ impl Vm {
                     ),
                 }
             })?;
-        self.spawn_thread(thread_name, mref, vec![Value::Ref(receiver)], creator)
+        let tid = self.spawn_thread(thread_name, mref, vec![Value::Ref(receiver)], creator)?;
+        self.threads[tid.0 as usize].guest_started = true;
+        Ok(tid)
     }
 
     /// Whether a live-thread slot is still available (thread-creation
@@ -1934,19 +1899,9 @@ impl Vm {
         self.threads.iter().filter(|t| !t.is_terminated()).count() < self.options.max_threads
     }
 
-    /// Number of currently live (non-terminated) threads.
-    pub fn live_threads(&self) -> usize {
-        self.threads.iter().filter(|t| !t.is_terminated()).count()
-    }
-
     /// Per-thread state, for administrators and tests.
     pub fn thread_state_of(&self, tid: ThreadId) -> Result<ThreadState> {
         Ok(self.thread(tid)?.state)
-    }
-
-    /// The uncaught exception that killed `tid`, if any.
-    pub fn thread_uncaught(&self, tid: ThreadId) -> Option<GcRef> {
-        self.threads.get(tid.0 as usize).and_then(|t| t.uncaught)
     }
 
     /// The value returned by `tid`'s entry method, if it finished.

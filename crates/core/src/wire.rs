@@ -57,21 +57,21 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 mod tag {
-    pub const NULL: u8 = 0;
-    pub const INT: u8 = 1;
-    pub const LONG: u8 = 2;
-    pub const FLOAT: u8 = 3;
-    pub const DOUBLE: u8 = 4;
-    pub const STRING: u8 = 5;
-    pub const OBJECT: u8 = 6;
-    pub const BACKREF: u8 = 7;
-    pub const ARR_INT: u8 = 8;
-    pub const ARR_LONG: u8 = 9;
-    pub const ARR_DOUBLE: u8 = 10;
-    pub const ARR_CHAR: u8 = 11;
-    pub const ARR_BYTE: u8 = 12;
-    pub const ARR_REF: u8 = 13;
-    pub const ARR_OTHER: u8 = 14;
+    pub(crate) const NULL: u8 = 0;
+    pub(crate) const INT: u8 = 1;
+    pub(crate) const LONG: u8 = 2;
+    pub(crate) const FLOAT: u8 = 3;
+    pub(crate) const DOUBLE: u8 = 4;
+    pub(crate) const STRING: u8 = 5;
+    pub(crate) const OBJECT: u8 = 6;
+    pub(crate) const BACKREF: u8 = 7;
+    pub(crate) const ARR_INT: u8 = 8;
+    pub(crate) const ARR_LONG: u8 = 9;
+    pub(crate) const ARR_DOUBLE: u8 = 10;
+    pub(crate) const ARR_CHAR: u8 = 11;
+    pub(crate) const ARR_BYTE: u8 = 12;
+    pub(crate) const ARR_REF: u8 = 13;
+    pub(crate) const ARR_OTHER: u8 = 14;
 }
 
 /// Serializes a value (full object graph) to bytes.

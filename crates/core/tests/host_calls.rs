@@ -9,6 +9,7 @@
 use ijvm_classfile::{AccessFlags, ClassBuilder, Opcode};
 use ijvm_core::engine::EngineKind;
 use ijvm_core::prelude::*;
+use ijvm_core::thread::ThreadState;
 use ijvm_core::vm::Vm;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 
@@ -228,6 +229,56 @@ fn a_collected_monitor_no_longer_holds_its_owners_slot() {
             Some(Value::Int(3))
         );
         assert_eq!(vm.thread_count(), slots, "{engine:?}");
+    }
+}
+
+const GUEST_THREADS: &str = r#"
+    class Job implements Runnable {
+        static int runs = 0;
+        public void run() { runs = runs + 1; }
+    }
+    class Starter {
+        static Thread t;
+        static int start() { t = new Thread(new Job()); t.start(); return 0; }
+        static int alive() { if (t.isAlive()) return 1; return 0; }
+        static int join() { t.join(); return Job.runs; }
+    }
+"#;
+
+/// A thread the guest started with `Thread.start` keeps its slot even
+/// when it has finished and is the last one: its `Thread` object still
+/// names the id. Were the slot given back, the next host call would
+/// take the id, and `t.isAlive()` and `t.join()` would reach the caller.
+#[test]
+fn a_guest_started_thread_keeps_its_slot() {
+    for engine in ENGINES {
+        let mut vm = ijvm_jsl::boot(VmOptions::isolated().with_engine(engine));
+        let iso = vm.create_isolate("guest");
+        let loader = vm.loader_of(iso).unwrap();
+        for (name, bytes) in compile_to_bytes(GUEST_THREADS, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(loader, &name, bytes);
+        }
+        let class = vm.load_class(loader, "Starter").unwrap();
+        let call =
+            |vm: &mut Vm, name: &str| vm.call_static_as(class, name, "()I", vec![], iso).unwrap();
+        let slots = vm.thread_count();
+        assert_eq!(call(&mut vm, "start"), Some(Value::Int(0)));
+        // The host call's slot sits below the guest thread's, so both stay.
+        assert_eq!(vm.thread_count(), slots + 2, "{engine:?}");
+        let guest = ThreadId(slots as u32 + 1);
+        assert_eq!(
+            vm.thread_state_of(guest).unwrap(),
+            ThreadState::Terminated,
+            "{engine:?}"
+        );
+        assert_eq!(vm.release_thread(guest).unwrap(), None, "{engine:?}");
+        assert_eq!(
+            vm.thread_count(),
+            slots + 2,
+            "{engine:?}: the guest-started thread keeps its slot"
+        );
+        assert_eq!(call(&mut vm, "alive"), Some(Value::Int(0)), "{engine:?}");
+        assert_eq!(call(&mut vm, "join"), Some(Value::Int(1)), "{engine:?}");
     }
 }
 

@@ -572,7 +572,16 @@ fn metadata_footprint_grows_with_isolates() {
 
 #[test]
 fn string_natives_are_exact_on_unpaired_surrogates() {
-    let mut vm = boot(VmOptions::isolated());
+    string_natives_on_unpaired_surrogates(VmOptions::isolated());
+    // Again with a collection at every allocation: the host's two
+    // strings must stay pinned across the calls that allocate.
+    let mut stress = VmOptions::isolated();
+    stress.gc_threshold_bytes = 0;
+    string_natives_on_unpaired_surrogates(stress);
+}
+
+fn string_natives_on_unpaired_surrogates(options: VmOptions) {
+    let mut vm = boot(options);
     let iso = vm.create_isolate("t");
     let src = r#"
         class Str {
@@ -588,7 +597,9 @@ fn string_natives_are_exact_on_unpaired_surrogates() {
     let s = vm
         .new_string_utf16(iso, body.into())
         .expect("heap has room");
+    vm.pin(s);
     let lossy = vm.new_string(iso, "a\u{FFFD}b").expect("heap has room");
+    vm.pin(lossy);
     let call = |vm: &mut Vm, name: &str, desc: &str, args: Vec<Value>| {
         vm.call_static_as(class, name, desc, args, iso)
             .unwrap()

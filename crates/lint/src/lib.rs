@@ -4,7 +4,8 @@
 //! are *specific to this codebase's correctness argument* and that no
 //! general-purpose tool knows about: the `VmRc` safety story (R1, R3),
 //! the deterministic-scheduler purity the differential oracle depends
-//! on (R2), and the embedding-surface evolution contract (R4). See
+//! on (R2), the embedding-surface evolution contract (R4) and the
+//! list of core modules published to other crates (R5). See
 //! [`rules`] for the catalog and `ARCHITECTURE.md` § Correctness
 //! tooling for the prose rationale.
 //!
@@ -20,7 +21,7 @@ pub mod model;
 pub mod rules;
 
 pub use model::{scan, Line, SourceFile};
-pub use rules::{Checker, Rule, Violation, SURFACE_ALLOWLIST};
+pub use rules::{Checker, Rule, Violation, CORE_PATHS, SURFACE_ALLOWLIST};
 
 use std::path::{Path, PathBuf};
 

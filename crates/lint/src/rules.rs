@@ -1,6 +1,6 @@
 //! The rule catalog and the per-file checking passes.
 //!
-//! Four rules guard the invariants the workspace argues in prose (see
+//! Five rules guard the invariants the workspace argues in prose (see
 //! `ARCHITECTURE.md` § Correctness tooling):
 //!
 //! * **R1 `safety-comment`** — every `unsafe` occurrence (block, impl,
@@ -26,6 +26,10 @@
 //!   `#[non_exhaustive]` or carry an entry in [`SURFACE_ALLOWLIST`]
 //!   explaining why exhaustive construction/matching is part of their
 //!   contract; `#[deprecated]` must name its replacement in the note.
+//! * **R5 `surface`** — every `pub mod` in `crates/core/src/lib.rs`
+//!   must be on [`CORE_PATHS`], with the reason crates outside the core
+//!   import it. A module nobody outside the core needs stays
+//!   `pub(crate)`; publishing one is a choice made with a reason.
 //!
 //! Any site can be excused with `// lint: allow(<rule>) — <reason>` on
 //! the same line or the comment line directly above (attribute lines in
@@ -48,6 +52,8 @@ pub enum Rule {
     /// R4: embedding-surface hygiene (`#[non_exhaustive]`, deprecated
     /// notes naming replacements).
     ApiHygiene,
+    /// R5: crates outside the core import only listed core paths.
+    Surface,
 }
 
 impl Rule {
@@ -58,6 +64,7 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::HotHandle => "hot-handle",
             Rule::ApiHygiene => "api-hygiene",
+            Rule::Surface => "surface",
         }
     }
 
@@ -67,6 +74,7 @@ impl Rule {
             "determinism" => Some(Rule::Determinism),
             "hot-handle" => Some(Rule::HotHandle),
             "api-hygiene" => Some(Rule::ApiHygiene),
+            "surface" => Some(Rule::Surface),
             _ => None,
         }
     }
@@ -151,10 +159,6 @@ pub const SURFACE_ALLOWLIST: &[(&str, &str)] = &[
         "ClusterBuilder",
         "opaque builder, no public fields; non_exhaustive adds nothing",
     ),
-    (
-        "ClusterCtl",
-        "opaque remote-control handle, no public fields",
-    ),
     ("UnitHandle", "opaque per-unit handle, no public fields"),
     (
         "UnitId",
@@ -188,6 +192,30 @@ pub const SURFACE_ALLOWLIST: &[(&str, &str)] = &[
          full protocol; hiding variants would make natives unwritable \
          outside the core crate",
     ),
+];
+
+/// The `ijvm_core` modules that code outside the core may import, each
+/// with the reason embedders need it. Every other core module is
+/// `pub(crate)`; publishing one means adding it here with its reason.
+pub const CORE_PATHS: &[(&str, &str)] = &[
+    ("prelude", "glob import of the embedding types"),
+    ("vm", "`Vm`, its options and host calls"),
+    ("ids", "typed ids of isolates, classes, threads"),
+    ("value", "`Value` and `GcRef` cross every call"),
+    ("error", "the error type of every host call"),
+    ("engine", "`EngineKind` picks oracle or threaded"),
+    ("sched", "the cluster: builder, units, outcomes"),
+    ("port", "hub snapshots and per-message cost"),
+    ("checkpoint", "unit images: capture and restore"),
+    ("bootstrap", "installs core classes into a VM"),
+    ("natives", "`NativeResult`, what natives return"),
+    ("heap", "`ObjBody` for natives and copies"),
+    ("wire", "the value codec of the RMI model"),
+    ("trace", "flight-recorder config and metrics"),
+    ("thread", "`ThreadState` backs the `isAlive` native"),
+    ("accounting", "the per-isolate `ResourceStats` counters"),
+    ("isolate", "`IsolateState` for admin views"),
+    ("class", "`CodeBody`, built by pre-decode tests"),
 ];
 
 const DETERMINISTIC_PATHS: &[&str] = &[
@@ -313,6 +341,7 @@ impl Checker {
         self.rule_determinism(file, &allows, &mut out);
         self.rule_hot_handle(file, &allows, &mut out);
         self.rule_api_hygiene(file, &allows, &mut out);
+        self.rule_surface(file, &allows, &mut out);
         out.sort_by_key(|v| (v.line, v.rule));
         out
     }
@@ -334,7 +363,7 @@ impl Checker {
                         rule: Rule::ApiHygiene,
                         message: format!(
                             "unknown rule `{}` in lint: allow(...) — valid rules: \
-                             safety-comment, determinism, hot-handle, api-hygiene",
+                             safety-comment, determinism, hot-handle, api-hygiene, surface",
                             allow.raw_name
                         ),
                     });
@@ -541,6 +570,35 @@ impl Checker {
             }
         }
     }
+
+    /// R5: every `pub mod` of the core's `lib.rs` is on [`CORE_PATHS`].
+    fn rule_surface(&self, file: &SourceFile, allows: &[Vec<Rule>], out: &mut Vec<Violation>) {
+        if file.rel_path != "crates/core/src/lib.rs" {
+            return;
+        }
+        for (i, line) in file.lines.iter().enumerate() {
+            let Some(rest) = line.code.trim().strip_prefix("pub mod ") else {
+                continue;
+            };
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if CORE_PATHS.iter().any(|(p, _)| *p == name) || Self::allowed(allows, i, Rule::Surface)
+            {
+                continue;
+            }
+            out.push(Violation {
+                rel_path: file.rel_path.clone(),
+                line: i + 1,
+                rule: Rule::Surface,
+                message: format!(
+                    "public core module `{name}` is not in ijvm_lint::CORE_PATHS: make it \
+                     `pub(crate)`, or add it there with the reason other crates import it"
+                ),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -549,7 +607,7 @@ mod tests {
 
     #[test]
     fn allowlist_reasons_are_substantive() {
-        for (name, reason) in SURFACE_ALLOWLIST {
+        for (name, reason) in SURFACE_ALLOWLIST.iter().chain(CORE_PATHS) {
             assert!(
                 reason.split_whitespace().count() >= 4,
                 "allowlist entry `{name}` needs a real reason, got: {reason:?}"

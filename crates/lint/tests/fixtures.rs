@@ -116,3 +116,16 @@ fn malformed_allows_are_violations() {
         .iter()
         .any(|x| x.line == 5 && x.message.contains("without a reason")));
 }
+
+#[test]
+fn r5_flags_public_core_modules_off_the_list() {
+    let v = check("r5_bad.rs", "crates/core/src/lib.rs", &[]);
+    assert_eq!(lines_of(&v, Rule::Surface), vec![4, 12]);
+    assert_eq!(v.len(), 2, "{v:?}");
+}
+
+#[test]
+fn r5_is_scoped_to_the_core_lib() {
+    let v = check("r5_bad.rs", "crates/core/src/fake.rs", &[]);
+    assert!(v.is_empty(), "{v:?}");
+}

@@ -182,7 +182,7 @@ fn gen_class(c: &ClassDecl, info: &ClassInfo, env: &Env, internal: &str) -> Resu
         .collect();
     if !static_inits.is_empty() {
         let mb = cb.method("<clinit>", "()V", AccessFlags::STATIC);
-        let mut g = Gen::new(mb, env, info, internal, Ty::Void, true);
+        let mut g = Gen::new(mb, env, internal, Ty::Void, true);
         for (f, sig) in &static_inits {
             let t = g.expr(f.init.as_ref().expect("filtered on init"))?;
             g.convert(&t, &sig.ty, f.line)?;
@@ -205,21 +205,12 @@ fn gen_class(c: &ClassDecl, info: &ClassInfo, env: &Env, internal: &str) -> Resu
         if m.is_ctor {
             has_ctor = true;
         }
-        gen_method(
-            &mut cb,
-            m,
-            c,
-            info,
-            env,
-            internal,
-            &superclass,
-            &instance_inits,
-        )?;
+        gen_method(&mut cb, m, c, env, internal, &superclass, &instance_inits)?;
     }
     if !has_ctor {
         // Default constructor.
         let mb = cb.method("<init>", "()V", AccessFlags::PUBLIC);
-        let mut g = Gen::new(mb, env, info, internal, Ty::Void, false);
+        let mut g = Gen::new(mb, env, internal, Ty::Void, false);
         g.mb.aload(0);
         g.mb.invokespecial(&superclass, "<init>", "()V");
         gen_field_inits(&mut g, internal, &instance_inits)?;
@@ -246,12 +237,10 @@ fn gen_field_inits(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn gen_method(
     cb: &mut ClassBuilder,
     m: &MethodDecl,
     c: &ClassDecl,
-    info: &ClassInfo,
     env: &Env,
     internal: &str,
     superclass: &str,
@@ -274,7 +263,7 @@ fn gen_method(
         flags |= AccessFlags::SYNCHRONIZED;
     }
     let mb = cb.method(&m.name, &sig.descriptor(), flags);
-    let mut g = Gen::new(mb, env, info, internal, sig.ret.clone(), m.is_static);
+    let mut g = Gen::new(mb, env, internal, sig.ret.clone(), m.is_static);
     // Parameters.
     let first_slot = if m.is_static { 0 } else { 1 };
     for (slot, ((pname, _), pty)) in (first_slot..).zip(m.params.iter().zip(&sig.params)) {
@@ -308,8 +297,6 @@ fn gen_method(
 struct Gen<'cb> {
     mb: MethodBuilder<'cb>,
     env: &'cb Env,
-    #[allow(dead_code)] // kept for diagnostics / future `super.` support
-    class: &'cb ClassInfo,
     internal: &'cb str,
     ret: Ty,
     is_static: bool,
@@ -321,7 +308,6 @@ impl<'cb> Gen<'cb> {
     fn new(
         mb: MethodBuilder<'cb>,
         env: &'cb Env,
-        class: &'cb ClassInfo,
         internal: &'cb str,
         ret: Ty,
         is_static: bool,
@@ -329,7 +315,6 @@ impl<'cb> Gen<'cb> {
         Gen {
             mb,
             env,
-            class,
             internal,
             ret,
             is_static,

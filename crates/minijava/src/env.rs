@@ -43,11 +43,6 @@ impl Ty {
         Ty::Object("java/lang/Object".to_owned())
     }
 
-    /// `true` for int-like stack types (int, boolean, char).
-    pub fn is_int_like(&self) -> bool {
-        matches!(self, Ty::Int | Ty::Boolean | Ty::Char)
-    }
-
     /// `true` for any numeric type.
     pub fn is_numeric(&self) -> bool {
         matches!(self, Ty::Int | Ty::Long | Ty::Float | Ty::Double | Ty::Char)

@@ -436,23 +436,6 @@ impl Framework {
     pub fn run(&mut self, budget: Option<u64>) -> RunOutcome {
         self.vm.run(budget)
     }
-
-    /// A compile environment preloaded with OSGi signatures and the class
-    /// files of `imports` — what a bundle author compiles against.
-    pub fn compile_env(&self, package: &str, imports: &[BundleId]) -> CompileEnv {
-        let mut cenv = CompileEnv::in_package(package);
-        classes::osgi_signatures(&mut cenv.env);
-        for id in imports {
-            if let Some(b) = self.bundles.get(id.0 as usize) {
-                for (_, bytes) in &b.classes {
-                    if let Ok(cf) = ijvm_classfile::reader::read_class(bytes) {
-                        let _ = cenv.import_class_file(&cf);
-                    }
-                }
-            }
-        }
-        cenv
-    }
 }
 
 #[cfg(test)]
