@@ -49,7 +49,7 @@ pub mod handlers;
 pub mod predecode;
 pub mod xinsn;
 
-pub use predecode::{predecode, predecode_with};
+pub use predecode::predecode;
 pub use xinsn::{
     CallSite, Cmp, CmpRhs, FusedCmp, IfaceSite, LdcSite, SwitchTable, TrapKind, VirtSite, XInsn,
     BAD_TARGET,
@@ -206,11 +206,7 @@ pub(crate) fn ensure_prepared(vm: &mut Vm, method: MethodRef) -> VmRc<PreparedCo
         .as_ref()
         .expect("ensure_prepared on non-bytecode method")
         .share();
-    let prepared = VmRc::new(predecode_with(
-        &code,
-        &class.pool,
-        vm.options.superinstructions,
-    ));
+    let prepared = VmRc::new(predecode(&code, &class.pool));
     vm.classes[method.class.0 as usize].methods[method.index as usize].prepared =
         Some(prepared.share());
     prepared

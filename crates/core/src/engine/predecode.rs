@@ -15,7 +15,7 @@
 //! when) executed, matching the raw interpreter's behaviour of faulting
 //! at execution time rather than load time.
 //!
-//! An optional third pass (`fuse_superinstructions`) runs a peephole
+//! A third pass (`fuse_superinstructions`) runs a peephole
 //! over the decoded stream, folding the `Load+Load+Iadd+Store` and
 //! `Load+{IConst,Load}+IfICmp` families into single dispatch cases. The
 //! fusion is *non-destructive*: only the pattern's first cell is
@@ -113,16 +113,20 @@ fn map_target(pc_to_idx: &[u32], target: i64) -> u32 {
     pc_to_idx[target as usize]
 }
 
-/// Pre-decodes one method's code into a [`PreparedCode`] with the
-/// superinstruction peephole enabled (the production default).
+/// Pre-decodes one method's code into a [`PreparedCode`]: decode, fuse
+/// superinstructions, lower.
 pub fn predecode(code: &CodeBody, pool: &ConstPool) -> PreparedCode {
-    predecode_with(code, pool, true)
+    let mut p = decode(code, pool);
+    let mut fused_cmps: Vec<FusedCmp> = Vec::new();
+    fuse_superinstructions(&mut p.insns, &mut fused_cmps);
+    p.fused_cmps = fused_cmps.into_boxed_slice();
+    p.threaded = p.insns.iter().map(|&x| Cell::new(lower(x))).collect();
+    p
 }
 
-/// Pre-decodes one method's code into a [`PreparedCode`], optionally
-/// fusing superinstructions (`fuse = false` keeps the plain stream, for
-/// ablation and the fused-vs-unfused differential tests).
-pub fn predecode_with(code: &CodeBody, pool: &ConstPool, fuse: bool) -> PreparedCode {
+/// Passes 1 and 2: the plain stream with its maps and side tables, not
+/// yet fused or lowered.
+fn decode(code: &CodeBody, pool: &ConstPool) -> PreparedCode {
     let bytes = &code.bytes;
 
     // Pass 1: instruction boundaries.
@@ -169,11 +173,6 @@ pub fn predecode_with(code: &CodeBody, pool: &ConstPool, fuse: bool) -> Prepared
         );
         insns.push(insn);
     }
-    // Pass 3 (optional): peephole-fuse superinstructions.
-    let mut fused_cmps: Vec<FusedCmp> = Vec::new();
-    if fuse {
-        fuse_superinstructions(&mut insns, &mut fused_cmps);
-    }
 
     // Guard: execution falling past the last instruction (malformed code
     // with no terminal return/goto/athrow) lands here and faults cleanly
@@ -181,18 +180,17 @@ pub fn predecode_with(code: &CodeBody, pool: &ConstPool, fuse: bool) -> Prepared
     // `idx_to_pc` already carries as its trailing entry.
     insns.push(XInsn::Trap(TrapKind::FellOffEnd));
 
-    let threaded = insns.iter().map(|&x| Cell::new(lower(x))).collect();
     PreparedCode {
         insns: insns.into_boxed_slice(),
         idx_to_pc: idx_to_pc.into_boxed_slice(),
         pc_to_idx: pc_to_idx.into_boxed_slice(),
         switches: switches.into_boxed_slice(),
         iface_sites: iface_sites.into_boxed_slice(),
-        fused_cmps: fused_cmps.into_boxed_slice(),
+        fused_cmps: Box::new([]),
         call_sites: std::cell::RefCell::new(Vec::new()),
         virt_sites: std::cell::RefCell::new(Vec::new()),
         ldc_sites: std::cell::RefCell::new(Vec::new()),
-        threaded,
+        threaded: Box::new([]),
         hot_count: std::cell::Cell::new(0),
         back_edges: std::cell::Cell::new(0),
     }
@@ -538,5 +536,57 @@ fn decode_one(
         O::Instanceof => XInsn::InstanceOf(read_u16(bytes, pc + 1)),
         O::Monitorenter => XInsn::MonitorEnter,
         O::Monitorexit => XInsn::MonitorExit,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Random pool-free code biased toward the fusable shapes. Branch
+    /// offsets may miss an instruction boundary (`BAD_TARGET`, which
+    /// stays unfused).
+    fn assemble(ops: &[u8]) -> Vec<u8> {
+        let insn = |op: u8| match op % 6 {
+            0 => vec![Opcode::Iload0 as u8 + op % 4],
+            1 => vec![Opcode::Iconst0 as u8 + op % 6],
+            2 => vec![Opcode::Iadd as u8],
+            3 => vec![Opcode::Istore as u8, op % 4],
+            4 => vec![Opcode::IfIcmpeq as u8 + op % 6, 0, 3 + op % 8],
+            _ => vec![Opcode::Nop as u8],
+        };
+        let ret = [Opcode::Return as u8];
+        ops.iter().flat_map(|&op| insn(op)).chain(ret).collect()
+    }
+
+    proptest! {
+        /// Fusion rewrites only the head of each pattern: the plain stream
+        /// holds the whole pattern there, every other cell (the tails
+        /// included) keeps its plain instruction, and fused branches target
+        /// real instruction boundaries.
+        #[test]
+        fn fusion_preserves_maps_and_targets(ops in proptest::collection::vec(any::<u8>(), 0..200)) {
+            let body = CodeBody { max_stack: 8, max_locals: 4, bytes: assemble(&ops), handlers: Vec::new() };
+            let plain = decode(&body, &ConstPool::new());
+            let mut fused = plain.insns.to_vec();
+            let mut cmps = Vec::new();
+            fuse_superinstructions(&mut fused, &mut cmps);
+            for (i, &cell) in fused.iter().enumerate() {
+                let pattern = match cell {
+                    XInsn::AddStore { a, b, c } => vec![XInsn::Load(a), XInsn::Load(b), XInsn::Iadd, XInsn::Store(c)],
+                    XInsn::FusedCmpBr(si) => {
+                        let FusedCmp { slot, rhs, cmp, target } = cmps[si as usize];
+                        let boundary = plain.pc_of_index(target).and_then(|pc| plain.index_of_pc(pc));
+                        prop_assert_eq!(boundary, Some(target));
+                        let rhs = match rhs { CmpRhs::Const(k) => XInsn::IConst(k), CmpRhs::Local(s) => XInsn::Load(s) };
+                        vec![XInsn::Load(slot), rhs, XInsn::IfICmp { cmp, target }]
+                    }
+                    other => vec![other],
+                };
+                prop_assert_eq!(&plain.insns[i..i + pattern.len()], &pattern[..]);
+                prop_assert_eq!(&fused[i + 1..i + pattern.len()], &pattern[1..]);
+            }
+        }
     }
 }

@@ -63,11 +63,6 @@ pub struct VmOptions {
     /// direct-threaded dispatch by default, with the raw byte interpreter
     /// kept for ablation, A/B comparison and differential testing.
     pub(crate) engine: crate::engine::EngineKind,
-    /// Superinstruction fusion in the threaded engine's pre-decoder
-    /// (peephole-folded `Load+Load+Iadd+Store` and compare-and-branch
-    /// shapes). On by default; separable for ablation and for the
-    /// fused-vs-unfused differential tests. Ignored by the raw engine.
-    pub(crate) superinstructions: bool,
     /// Per-isolate resource accounting. Defaults to `true` in `Isolated`
     /// mode; separable so benchmarks can ablate accounting cost.
     pub accounting: bool,
@@ -102,7 +97,6 @@ impl Default for VmOptions {
         VmOptions {
             isolation: IsolationMode::Isolated,
             engine: crate::engine::EngineKind::default(),
-            superinstructions: true,
             accounting: true,
             heap_limit_bytes: 256 << 20,
             max_threads: 4096,
@@ -132,12 +126,6 @@ impl VmOptions {
     /// The same options with a different execution engine.
     pub fn with_engine(mut self, engine: crate::engine::EngineKind) -> VmOptions {
         self.engine = engine;
-        self
-    }
-
-    /// The same options with superinstruction fusion toggled.
-    pub fn with_superinstructions(mut self, fuse: bool) -> VmOptions {
-        self.superinstructions = fuse;
         self
     }
 

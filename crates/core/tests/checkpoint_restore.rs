@@ -7,141 +7,21 @@
 //! virtual clock and per-isolate exact CPU, both in-VM and in the
 //! cluster aggregate.
 //!
-//! The engine under test crosses with the CI differential matrix:
-//! `IJVM_DIFF_ENGINE` selects the engine/fusion lane and
-//! `IJVM_DIFF_ISOLATION` the isolation mode, so every engine lane also
-//! exercises checkpointing. One test additionally restores a raw-engine
-//! image under the threaded engine, fused and unfused: images carry no
-//! prepared code, so restore *must* re-derive it lazily — if it ever
-//! serialized quickening state, the cross-engine resume would diverge.
+//! Every test runs in every VM configuration of the lane table
+//! (`tests/common`, [`Lane::configs`]). Two tests restore an image under
+//! the other engine: images carry no prepared code, so restore *must*
+//! re-derive it lazily — if it ever serialized quickening state, the
+//! cross-engine resume would diverge.
 
-use ijvm_core::engine::EngineKind;
+mod common;
+
+use common::{
+    build_vm, echo_server, isolated, observe_cluster, pinging_client, Gc, Lane, Observed, UnitSpec,
+};
 use ijvm_core::prelude::*;
-use ijvm_core::sched::UnitHandle;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use proptest::prelude::*;
 use std::sync::OnceLock;
-
-/// Engine/fusion lane selected by `IJVM_DIFF_ENGINE`.
-fn engine_lane() -> (EngineKind, bool) {
-    match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("threaded") | Ok("parallel") => (EngineKind::Threaded, true),
-        Ok("threaded-nofuse") | Ok("parallel-nofuse") => (EngineKind::Threaded, false),
-        Ok("raw") => (EngineKind::Raw, true),
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ENGINE {other:?}"),
-        _ => (EngineKind::Threaded, true),
-    }
-}
-
-/// Isolation lane selected by `IJVM_DIFF_ISOLATION`.
-fn isolation_lane() -> IsolationMode {
-    match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
-        Ok("shared") => IsolationMode::Shared,
-        Ok("isolated") => IsolationMode::Isolated,
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ISOLATION {other:?}"),
-        _ => IsolationMode::Isolated,
-    }
-}
-
-fn lane_options(quantum: u32) -> VmOptions {
-    let (engine, fuse) = engine_lane();
-    let mut options = match isolation_lane() {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(engine)
-    .with_superinstructions(fuse);
-    options.quantum = quantum;
-    options
-}
-
-/// One unit of a scenario.
-struct UnitSpec {
-    src: String,
-    entry: &'static str,
-    method: &'static str,
-    /// One entry thread per element, each with this `(I)I` argument.
-    thread_args: Vec<i32>,
-}
-
-fn build_vm_with(spec: &UnitSpec, options: VmOptions) -> (Vm, Vec<ThreadId>) {
-    let mut vm = ijvm_jsl::boot(options);
-    let iso = vm.create_isolate("unit");
-    let loader = vm.loader_of(iso).unwrap();
-    for (name, bytes) in compile_to_bytes(&spec.src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(loader, &name, bytes);
-    }
-    let class = vm.load_class(loader, spec.entry).unwrap();
-    let index = vm.class(class).find_method(spec.method, "(I)I").unwrap();
-    let mref = MethodRef { class, index };
-    let tids = spec
-        .thread_args
-        .iter()
-        .map(|&n| {
-            vm.spawn_thread("entry", mref, vec![Value::Int(n)], iso)
-                .unwrap()
-        })
-        .collect();
-    (vm, tids)
-}
-
-fn build_vm(spec: &UnitSpec, quantum: u32) -> (Vm, Vec<ThreadId>) {
-    build_vm_with(spec, lane_options(quantum))
-}
-
-/// Everything compared across scheduler modes / restore paths for one
-/// finished unit.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    results: Vec<Result<Option<String>, String>>,
-    outcome: RunOutcome,
-    vclock: u64,
-    console: Vec<String>,
-    cpu_exact: Vec<u64>,
-    cpu_sampled: Vec<u64>,
-    allocated_objects: Vec<u64>,
-    /// Cluster-aggregate exact CPU per isolate — must equal `cpu_exact`
-    /// even for restored units, whose pre-checkpoint CPU is flushed
-    /// into the aggregate on their first accounting sweep.
-    aggregate_cpu: Vec<u64>,
-}
-
-fn observe(outcome: &mut ClusterOutcome, tids: &[Vec<ThreadId>]) -> Vec<Observed> {
-    let accounts = &outcome.accounts;
-    let mut observed = Vec::new();
-    for (u, unit_outcome) in outcome.units.iter_mut().enumerate() {
-        let report = unit_outcome.report;
-        let vm = &mut unit_outcome.vm;
-        let snaps = vm.metrics().isolates;
-        observed.push(Observed {
-            results: tids[u]
-                .iter()
-                .map(|&tid| {
-                    vm.thread_outcome(tid)
-                        .map(|v| v.map(|v| v.to_string()))
-                        .map_err(|e| e.to_string())
-                })
-                .collect(),
-            outcome: report.outcome,
-            vclock: vm.vclock(),
-            console: vm.take_console(),
-            cpu_exact: snaps.iter().map(|s| s.stats.cpu_exact).collect(),
-            cpu_sampled: snaps.iter().map(|s| s.stats.cpu_sampled).collect(),
-            allocated_objects: snaps.iter().map(|s| s.stats.allocated_objects).collect(),
-            aggregate_cpu: (0..vm.isolate_count())
-                .map(|i| accounts.cpu_exact(report.id, IsolateId(i as u16)))
-                .collect(),
-        });
-    }
-    observed
-}
-
-const MODES: [SchedulerKind; 4] = [
-    SchedulerKind::Deterministic,
-    SchedulerKind::Parallel(1),
-    SchedulerKind::Parallel(2),
-    SchedulerKind::Parallel(4),
-];
 
 /// A self-contained two-thread compute workload that spans many slices
 /// at quantum 200 / slice 400: loops, allocation (string building in
@@ -176,9 +56,10 @@ const SLICE: u64 = 400;
 const CUT_VCLOCK: u64 = 1_000;
 const KILL_VCLOCK: u64 = 1_500;
 
-/// Runs `spec` alone under `kind`; optionally checkpoints at the given
-/// vclock; returns (observed, image-if-requested).
+/// Runs `spec` alone in `lane` under `kind`; optionally checkpoints at
+/// the given vclock; returns (observed, image-if-requested).
 fn run_single(
+    lane: Lane,
     spec: &UnitSpec,
     kind: SchedulerKind,
     checkpoint_at: Option<u64>,
@@ -186,13 +67,13 @@ fn run_single(
     let mut cluster = Cluster::builder()
         .scheduler(kind)
         .slice(SLICE)
-        .vm_options(lane_options(QUANTUM))
+        .vm_options(lane.options(QUANTUM))
         .build();
-    let (vm, tids) = build_vm(spec, QUANTUM);
+    let (vm, tids) = build_vm(spec, lane.options(QUANTUM));
     let handle = cluster.submit(vm);
     let ticket = checkpoint_at.map(|v| handle.checkpoint_at(v));
     let mut outcome = cluster.run();
-    let observed = observe(&mut outcome, &[tids]);
+    let observed = observe_cluster(&mut outcome, &[tids]);
     let image = ticket.map(|t| {
         t.wait()
             .expect("compute unit is quiescent at every boundary")
@@ -203,6 +84,7 @@ fn run_single(
 /// Resumes `image` under `kind` and observes the finished unit,
 /// optionally restoring with `restore_options` instead of the lane's.
 fn resume_single(
+    lane: Lane,
     image: &UnitImage,
     kind: SchedulerKind,
     tids: &[ThreadId],
@@ -211,77 +93,82 @@ fn resume_single(
     let mut cluster = Cluster::builder()
         .scheduler(kind)
         .slice(SLICE)
-        .vm_options(restore_options.unwrap_or_else(|| lane_options(QUANTUM)))
+        .vm_options(restore_options.unwrap_or_else(|| lane.options(QUANTUM)))
         .build();
     cluster
         .submit_image(image, ijvm_jsl::install_natives)
         .expect("image restores under matching hard options");
     let mut outcome = cluster.run();
-    observe(&mut outcome, &[tids.to_vec()])
+    observe_cluster(&mut outcome, &[tids.to_vec()])
 }
 
 /// The tentpole acceptance test: checkpoint → restore → resume
 /// mid-run is bit-identical to the uninterrupted run — results,
-/// console, vclock and exact CPU — under Deterministic and
-/// Parallel(1,2,4), the image bytes are identical in every mode, and
-/// taking the checkpoint does not perturb the donor run.
+/// console, vclock and exact CPU — in every mode of the lane, the image
+/// bytes are identical in every mode, and taking the checkpoint does not
+/// perturb the donor run.
 #[test]
 fn mid_run_checkpoint_restore_is_bit_identical_across_modes() {
-    let spec = compute_unit();
-    let (_, tids) = build_vm(&spec, QUANTUM); // tids are positional; same every build
-    let (baseline, _) = run_single(&spec, SchedulerKind::Deterministic, None);
-    assert_eq!(
-        baseline[0].aggregate_cpu, baseline[0].cpu_exact,
-        "cluster aggregate must match in-VM exact CPU"
-    );
-    assert!(
-        baseline[0].console.len() > 8,
-        "workload should span many slices: {:?}",
-        baseline[0].console
-    );
-
-    let mut oracle_image: Option<UnitImage> = None;
-    for kind in MODES {
-        // Uninterrupted run matches the oracle in this mode.
-        let (plain, _) = run_single(&spec, kind, None);
-        assert_eq!(baseline, plain, "{kind:?} diverged uninterrupted");
-
-        // Checkpointing mid-run does not perturb the donor.
-        let (with_ckpt, image) = run_single(&spec, kind, Some(CUT_VCLOCK));
-        assert_eq!(baseline, with_ckpt, "{kind:?} perturbed by checkpoint");
-
-        // The image bytes are identical in every scheduler mode.
-        let image = image.unwrap();
-        match &oracle_image {
-            None => oracle_image = Some(image.clone()),
-            Some(oracle) => assert_eq!(
-                oracle.as_bytes(),
-                image.as_bytes(),
-                "{kind:?} produced different image bytes than the oracle"
-            ),
+    for lane in Lane::configs() {
+        let spec = compute_unit();
+        let (_, tids) = build_vm(&spec, lane.options(QUANTUM)); // tids are positional; same every build
+        let (baseline, _) = run_single(lane, &spec, SchedulerKind::Deterministic, None);
+        if lane.gc == Gc::Stress {
+            let (plain, _) = run_single(lane.plain(), &spec, SchedulerKind::Deterministic, None);
+            assert_eq!(baseline, plain, "{lane} diverged from {}", lane.plain());
         }
+        assert!(
+            baseline[0].console.len() > 8,
+            "workload should span many slices: {:?}",
+            baseline[0].console
+        );
 
-        // Restoring and resuming under every mode reaches the same
-        // final state as the uninterrupted run.
-        for resume_kind in MODES {
-            let resumed = resume_single(&image, resume_kind, &tids[..], None);
+        let mut oracle_image: Option<UnitImage> = None;
+        for kind in lane.modes() {
+            // Uninterrupted run matches the oracle in this mode.
+            let (plain, _) = run_single(lane, &spec, kind, None);
+            assert_eq!(baseline, plain, "{lane}: {kind:?} diverged uninterrupted");
+
+            // Checkpointing mid-run does not perturb the donor.
+            let (with_ckpt, image) = run_single(lane, &spec, kind, Some(CUT_VCLOCK));
             assert_eq!(
-                baseline, resumed,
-                "capture under {kind:?}, resume under {resume_kind:?} diverged"
+                baseline, with_ckpt,
+                "{lane}: {kind:?} perturbed by checkpoint"
             );
-        }
-    }
 
-    // The slice cap cut the image at the first quantum boundary at or
-    // past its vclock, not at the end of the slice around it.
-    let natives = ijvm_jsl::install_natives;
-    let restored =
-        ijvm_core::checkpoint::restore(&oracle_image.unwrap(), lane_options(QUANTUM), natives);
-    let cut = restored.expect("image restores").vclock();
-    assert!(
-        (CUT_VCLOCK..CUT_VCLOCK + QUANTUM as u64).contains(&cut),
-        "cut at {cut}"
-    );
+            // The image bytes are identical in every scheduler mode.
+            let image = image.unwrap();
+            match &oracle_image {
+                None => oracle_image = Some(image.clone()),
+                Some(oracle) => assert_eq!(
+                    oracle.as_bytes(),
+                    image.as_bytes(),
+                    "{lane}: {kind:?} produced different image bytes than the oracle"
+                ),
+            }
+
+            // Restoring and resuming under every mode reaches the same
+            // final state as the uninterrupted run.
+            for resume_kind in lane.modes() {
+                let resumed = resume_single(lane, &image, resume_kind, &tids[..], None);
+                assert_eq!(
+                    baseline, resumed,
+                    "{lane}: capture under {kind:?}, resume under {resume_kind:?} diverged"
+                );
+            }
+        }
+
+        // The slice cap cut the image at the first quantum boundary at or
+        // past its vclock, not at the end of the slice around it.
+        let natives = ijvm_jsl::install_natives;
+        let restored =
+            ijvm_core::checkpoint::restore(&oracle_image.unwrap(), lane.options(QUANTUM), natives);
+        let cut = restored.expect("image restores").vclock();
+        assert!(
+            (CUT_VCLOCK..CUT_VCLOCK + QUANTUM as u64).contains(&cut),
+            "cut at {cut}"
+        );
+    }
 }
 
 /// A checkpoint filed past the unit's lifetime settles at unit
@@ -290,56 +177,18 @@ fn mid_run_checkpoint_restore_is_bit_identical_across_modes() {
 /// unit with the full observable history intact.
 #[test]
 fn checkpoint_past_completion_settles_with_final_image() {
-    let spec = compute_unit();
-    let (_, tids) = build_vm(&spec, QUANTUM);
-    let (baseline, image) = run_single(&spec, SchedulerKind::Deterministic, Some(u64::MAX));
-    let image = image.unwrap();
-    let resumed = resume_single(&image, SchedulerKind::Deterministic, &tids[..], None);
-    assert_eq!(
-        baseline, resumed,
-        "final image must replay to the final state"
-    );
-    assert_eq!(resumed[0].outcome, RunOutcome::Idle);
-}
-
-fn echo_server() -> UnitSpec {
-    UnitSpec {
-        src: r#"
-            class Echo {
-                int handle(int x) { return x * 3 + 7; }
-            }
-            class Boot {
-                static int start(int n) {
-                    Service.export("echo", new Echo());
-                    println("echo up");
-                    return n;
-                }
-            }
-        "#
-        .to_owned(),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    }
-}
-
-fn pinging_client(calls: i32) -> UnitSpec {
-    UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    int acc = 0;
-                    for (int i = 0; i < n; i++) {
-                        acc += Service.call("echo", i);
-                    }
-                    return acc;
-                }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![calls],
+    for lane in Lane::configs() {
+        let spec = compute_unit();
+        let (_, tids) = build_vm(&spec, lane.options(QUANTUM));
+        let (baseline, image) =
+            run_single(lane, &spec, SchedulerKind::Deterministic, Some(u64::MAX));
+        let image = image.unwrap();
+        let resumed = resume_single(lane, &image, SchedulerKind::Deterministic, &tids[..], None);
+        assert_eq!(
+            baseline, resumed,
+            "{lane}: final image must replay to the final state"
+        );
+        assert_eq!(resumed[0].outcome, RunOutcome::Idle);
     }
 }
 
@@ -352,66 +201,68 @@ fn pinging_client(calls: i32) -> UnitSpec {
 /// re-running class initialization.
 #[test]
 fn restored_server_re_exports_service_under_original_name() {
-    let calls = 24;
-    let mut oracle_image: Option<UnitImage> = None;
-    for kind in MODES {
-        let mut cluster = Cluster::builder()
-            .scheduler(kind)
-            .slice(SLICE)
-            .vm_options(lane_options(QUANTUM))
-            .build();
-        let server = echo_server();
-        let client = pinging_client(calls);
-        let (server_vm, _) = build_vm(&server, QUANTUM);
-        let (client_vm, _) = build_vm(&client, QUANTUM);
-        let server_handle = cluster.submit(server_vm);
-        cluster.submit(client_vm);
-        // A vclock the server never reaches: the ticket settles when the
-        // cluster stalls, i.e. after all in-flight calls drained.
-        let ticket = server_handle.checkpoint_at(u64::MAX);
-        cluster.run();
-        let image = ticket.wait().expect("drained server is quiescent");
-        match &oracle_image {
-            None => oracle_image = Some(image),
-            Some(oracle) => assert_eq!(
-                oracle.as_bytes(),
-                image.as_bytes(),
-                "{kind:?} captured different server image bytes"
-            ),
+    for lane in Lane::configs() {
+        let calls = 24;
+        let mut oracle_image: Option<UnitImage> = None;
+        for kind in lane.modes() {
+            let mut cluster = Cluster::builder()
+                .scheduler(kind)
+                .slice(SLICE)
+                .vm_options(lane.options(QUANTUM))
+                .build();
+            let server = echo_server();
+            let client = pinging_client(calls);
+            let (server_vm, _) = build_vm(&server, lane.options(QUANTUM));
+            let (client_vm, _) = build_vm(&client, lane.options(QUANTUM));
+            let server_handle = cluster.submit(server_vm);
+            cluster.submit(client_vm);
+            // A vclock the server never reaches: the ticket settles when the
+            // cluster stalls, i.e. after all in-flight calls drained.
+            let ticket = server_handle.checkpoint_at(u64::MAX);
+            cluster.run();
+            let image = ticket.wait().expect("drained server is quiescent");
+            match &oracle_image {
+                None => oracle_image = Some(image),
+                Some(oracle) => assert_eq!(
+                    oracle.as_bytes(),
+                    image.as_bytes(),
+                    "{lane}: {kind:?} captured different server image bytes"
+                ),
+            }
         }
-    }
-    let image = oracle_image.unwrap();
+        let image = oracle_image.unwrap();
 
-    // Crash-restart: fresh cluster, fresh client, same service name.
-    let calls2 = 48;
-    let mut cluster = Cluster::builder()
-        .scheduler(SchedulerKind::Deterministic)
-        .slice(SLICE)
-        .vm_options(lane_options(QUANTUM))
-        .build();
-    let restored = cluster
-        .submit_image(&image, ijvm_jsl::install_natives)
-        .expect("server image restores");
-    let _ = &restored;
-    let (client_vm, client_tids) = build_vm(&pinging_client(calls2), QUANTUM);
-    cluster.submit(client_vm);
-    let mut outcome = cluster.run();
-    let server_tids = vec![ThreadId(0)];
-    let observed = observe(&mut outcome, &[server_tids, client_tids]);
-    let expect: i64 = (0..calls2 as i64).map(|i| i * 3 + 7).sum();
-    assert_eq!(
-        observed[1].results[0],
-        Ok(Some(expect.to_string())),
-        "fresh client must reach the restored service under its original name"
-    );
-    // Class init did not re-run on restore: the boot marker was printed
-    // exactly once, before the checkpoint.
-    let markers = observed[0]
-        .console
-        .iter()
-        .filter(|l| *l == "echo up")
-        .count();
-    assert_eq!(markers, 1, "restore must not re-run <clinit>/boot code");
+        // Crash-restart: fresh cluster, fresh client, same service name.
+        let calls2 = 48;
+        let mut cluster = Cluster::builder()
+            .scheduler(SchedulerKind::Deterministic)
+            .slice(SLICE)
+            .vm_options(lane.options(QUANTUM))
+            .build();
+        let restored = cluster
+            .submit_image(&image, ijvm_jsl::install_natives)
+            .expect("server image restores");
+        let _ = &restored;
+        let (client_vm, client_tids) = build_vm(&pinging_client(calls2), lane.options(QUANTUM));
+        cluster.submit(client_vm);
+        let mut outcome = cluster.run();
+        let server_tids = vec![ThreadId(0)];
+        let observed = observe_cluster(&mut outcome, &[server_tids, client_tids]);
+        let expect: i64 = (0..calls2 as i64).map(|i| i * 3 + 7).sum();
+        assert_eq!(
+            observed[1].results[0],
+            Ok(Some(expect.to_string())),
+            "fresh client must reach the restored service under its original name"
+        );
+        // Class init did not re-run on restore: the boot marker was printed
+        // exactly once, before the checkpoint.
+        let markers = observed[0]
+            .console
+            .iter()
+            .filter(|l| *l == "echo up")
+            .count();
+        assert_eq!(markers, 1, "restore must not re-run <clinit>/boot code");
+    }
 }
 
 /// A warmed service unit whose `<clinit>` is expensive and observable:
@@ -454,7 +305,7 @@ fn table_sum() -> i64 {
 /// Boots and warms the server once, runs it to idle *unattached*, and
 /// captures its image directly via [`Vm::checkpoint`].
 fn warmed_server_image(options: VmOptions) -> UnitImage {
-    let (mut vm, tids) = build_vm_with(&warmed_server_spec(), options);
+    let (mut vm, tids) = build_vm(&warmed_server_spec(), options);
     assert_eq!(vm.run(None), RunOutcome::Idle, "warmup must finish");
     assert_eq!(
         vm.thread_outcome(tids[0]).unwrap().unwrap().to_string(),
@@ -470,125 +321,107 @@ fn warmed_server_image(options: VmOptions) -> UnitImage {
 /// marker), bit-identically across scheduler modes.
 #[test]
 fn fork_n_serves_renamed_services_without_reinit() {
-    let image = warmed_server_image(lane_options(QUANTUM));
-    let n = 4usize;
-    let calls = 12;
-    let sum = table_sum();
-    let expect_client: i64 = (0..calls as i64).map(|i| i + sum).sum();
+    for lane in Lane::configs() {
+        let image = warmed_server_image(lane.options(QUANTUM));
+        let n = 4usize;
+        let calls = 12;
+        let sum = table_sum();
+        let expect_client: i64 = (0..calls as i64).map(|i| i + sum).sum();
 
-    let mut oracle: Option<Vec<Observed>> = None;
-    for kind in MODES {
-        let mut cluster = Cluster::builder()
-            .scheduler(kind)
-            .slice(SLICE)
-            .vm_options(lane_options(QUANTUM))
-            .build();
-        let forks = cluster
-            .submit_image_n(&image, n, ijvm_jsl::install_natives)
-            .expect("warmed image forks");
-        assert_eq!(forks.len(), n);
-        let mut tids: Vec<Vec<ThreadId>> = (0..n).map(|_| vec![ThreadId(0)]).collect();
-        let mut client_handles: Vec<UnitHandle> = Vec::new();
-        for k in 0..n {
-            let spec = UnitSpec {
-                src: format!(
-                    r#"
-                    class Client {{
-                        static int drive(int n) {{
-                            int acc = 0;
-                            for (int i = 0; i < n; i++) {{
-                                acc += Service.call("svc#{k}", i);
+        let mut oracle: Option<Vec<Observed>> = None;
+        for kind in lane.modes() {
+            let mut cluster = Cluster::builder()
+                .scheduler(kind)
+                .slice(SLICE)
+                .vm_options(lane.options(QUANTUM))
+                .build();
+            let forks = cluster
+                .submit_image_n(&image, n, ijvm_jsl::install_natives)
+                .expect("warmed image forks");
+            assert_eq!(forks.len(), n);
+            let mut tids: Vec<Vec<ThreadId>> = (0..n).map(|_| vec![ThreadId(0)]).collect();
+            let mut client_handles: Vec<UnitHandle> = Vec::new();
+            for k in 0..n {
+                let spec = UnitSpec {
+                    src: format!(
+                        r#"
+                        class Client {{
+                            static int drive(int n) {{
+                                int acc = 0;
+                                for (int i = 0; i < n; i++) {{
+                                    acc += Service.call("svc#{k}", i);
+                                }}
+                                return acc;
                             }}
-                            return acc;
                         }}
-                    }}
-                    "#
+                        "#
+                    ),
+                    entry: "Client",
+                    method: "drive",
+                    thread_args: vec![calls],
+                };
+                let (vm, client_tids) = build_vm(&spec, lane.options(QUANTUM));
+                client_handles.push(cluster.submit(vm));
+                tids.push(client_tids);
+            }
+            let mut outcome = cluster.run();
+            let observed = observe_cluster(&mut outcome, &tids);
+            for k in 0..n {
+                let fork = &observed[k];
+                // The warmup result survived the fork: statics were
+                // restored, not re-initialized.
+                assert_eq!(
+                    fork.results[0],
+                    Ok(Some(table_sum().to_string())),
+                    "fork {k}: warmup thread result must survive the fork"
+                );
+                let markers = fork.console.iter().filter(|l| *l == "warm-init").count();
+                assert_eq!(markers, 1, "fork {k} re-ran <clinit> ({kind:?})");
+                let client = &observed[n + k];
+                assert_eq!(
+                    client.results[0],
+                    Ok(Some(expect_client.to_string())),
+                    "client {k} must reach svc#{k} ({kind:?})"
+                );
+            }
+            match &oracle {
+                None => oracle = Some(observed),
+                Some(oracle) => assert_eq!(
+                    oracle, &observed,
+                    "{lane}: {kind:?} diverged from the deterministic oracle"
                 ),
-                entry: "Client",
-                method: "drive",
-                thread_args: vec![calls],
-            };
-            let (vm, client_tids) = build_vm(&spec, QUANTUM);
-            client_handles.push(cluster.submit(vm));
-            tids.push(client_tids);
-        }
-        let mut outcome = cluster.run();
-        let observed = observe(&mut outcome, &tids);
-        for k in 0..n {
-            let fork = &observed[k];
-            // The warmup result survived the fork: statics were
-            // restored, not re-initialized.
-            assert_eq!(
-                fork.results[0],
-                Ok(Some(table_sum().to_string())),
-                "fork {k}: warmup thread result must survive the fork"
-            );
-            let markers = fork.console.iter().filter(|l| *l == "warm-init").count();
-            assert_eq!(markers, 1, "fork {k} re-ran <clinit> ({kind:?})");
-            let client = &observed[n + k];
-            assert_eq!(
-                client.results[0],
-                Ok(Some(expect_client.to_string())),
-                "client {k} must reach svc#{k} ({kind:?})"
-            );
-        }
-        match &oracle {
-            None => oracle = Some(observed),
-            Some(oracle) => assert_eq!(
-                oracle, &observed,
-                "{kind:?} diverged from the deterministic oracle"
-            ),
+            }
         }
     }
 }
 
-/// Satellite-2 regression: a checkpoint captured under the **raw**
-/// engine restores and resumes under the threaded engine, fused and
-/// unfused (soft option — the image carries no prepared code), and the
-/// resumed run is bit-identical to the uninterrupted raw run. This is
-/// exactly the "restore rebuilds `PreparedCode` lazily" guarantee: the
-/// restored unit re-quickens from scratch and still passes the engine
-/// differential.
+/// A checkpoint captured under one engine restores and resumes under
+/// the other (a soft option — the image carries no prepared code), and
+/// the resumed run is bit-identical to the uninterrupted run. This is
+/// exactly the "restore rebuilds `PreparedCode` lazily" guarantee: a
+/// raw-engine image resumed under the threaded engine re-quickens from
+/// scratch and still passes the engine differential.
 #[test]
 fn cross_engine_restore_requickens_lazily() {
-    let mut raw = match isolation_lane() {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(EngineKind::Raw)
-    .with_superinstructions(false);
-    raw.quantum = QUANTUM;
-
-    let spec = compute_unit();
-    let (_, tids) = build_vm_with(&spec, raw.clone());
-
-    // Donor run under the raw engine, checkpointed mid-run.
-    let mut cluster = Cluster::builder()
-        .scheduler(SchedulerKind::Deterministic)
-        .slice(SLICE)
-        .vm_options(raw.clone())
-        .build();
-    let (vm, _) = build_vm_with(&spec, raw.clone());
-    let handle = cluster.submit(vm);
-    let ticket = handle.checkpoint_at(CUT_VCLOCK);
-    let mut outcome = cluster.run();
-    let baseline = observe(&mut outcome, std::slice::from_ref(&tids));
-    let image = ticket.wait().expect("compute unit quiescent at boundary");
-
-    for fuse in [false, true] {
-        let restore_options = raw
-            .clone()
-            .with_engine(EngineKind::Threaded)
-            .with_superinstructions(fuse);
+    for lane in Lane::configs() {
+        let other = match lane.kind() {
+            EngineKind::Raw => EngineKind::Threaded,
+            _ => EngineKind::Raw,
+        };
+        let spec = compute_unit();
+        let (_, tids) = build_vm(&spec, lane.options(QUANTUM));
+        let (baseline, image) =
+            run_single(lane, &spec, SchedulerKind::Deterministic, Some(CUT_VCLOCK));
         let resumed = resume_single(
-            &image,
+            lane,
+            &image.unwrap(),
             SchedulerKind::Deterministic,
             &tids[..],
-            Some(restore_options),
+            Some(lane.options(QUANTUM).with_engine(other)),
         );
         assert_eq!(
             baseline, resumed,
-            "raw-engine image resumed under threaded/fuse={fuse} diverged"
+            "{lane}: image resumed under {other:?} diverged"
         );
     }
 }
@@ -602,78 +435,77 @@ fn cross_engine_restore_requickens_lazily() {
 /// stats included.
 #[test]
 fn restore_then_terminate_reclaims_everything() {
-    if isolation_lane() == IsolationMode::Shared {
-        return;
-    }
-    let spec = compute_unit();
-    let (_, tids) = build_vm(&spec, QUANTUM);
+    for lane in isolated(Lane::configs()) {
+        let spec = compute_unit();
+        let (_, tids) = build_vm(&spec, lane.options(QUANTUM));
 
-    // Baseline: plain unit, killed mid-run.
-    let mut cluster = Cluster::builder()
-        .scheduler(SchedulerKind::Deterministic)
-        .slice(SLICE)
-        .vm_options(lane_options(QUANTUM))
-        .build();
-    let (vm, _) = build_vm(&spec, QUANTUM);
-    let handle = cluster.submit(vm);
-    handle.terminate_at(IsolateId(0), KILL_VCLOCK);
-    let mut outcome = cluster.run();
-    let baseline = observe(&mut outcome, std::slice::from_ref(&tids));
-    let baseline_live = {
-        let snaps = outcome.units[0].vm.metrics().isolates;
-        (snaps[0].stats.live_objects, snaps[0].stats.live_bytes)
-    };
+        // Baseline: plain unit, killed mid-run.
+        let mut cluster = Cluster::builder()
+            .scheduler(SchedulerKind::Deterministic)
+            .slice(SLICE)
+            .vm_options(lane.options(QUANTUM))
+            .build();
+        let (vm, _) = build_vm(&spec, lane.options(QUANTUM));
+        let handle = cluster.submit(vm);
+        handle.terminate_at(IsolateId(0), KILL_VCLOCK);
+        let mut outcome = cluster.run();
+        let baseline = observe_cluster(&mut outcome, std::slice::from_ref(&tids));
+        let baseline_live = {
+            let snaps = outcome.units[0].vm.metrics().isolates;
+            (snaps[0].stats.live_objects, snaps[0].stats.live_bytes)
+        };
 
-    // Donor: same workload, checkpointed earlier, left unkilled.
-    let (_, image) = run_single(&spec, SchedulerKind::Deterministic, Some(CUT_VCLOCK));
-    let image = image.unwrap();
+        // Donor: same workload, checkpointed earlier, left unkilled.
+        let (_, image) = run_single(lane, &spec, SchedulerKind::Deterministic, Some(CUT_VCLOCK));
+        let image = image.unwrap();
 
-    // Restored: resumed from the image and killed at the same vclock —
-    // the same absolute execution point as the baseline kill.
-    let mut cluster = Cluster::builder()
-        .scheduler(SchedulerKind::Deterministic)
-        .slice(SLICE)
-        .vm_options(lane_options(QUANTUM))
-        .build();
-    let handle = cluster
-        .submit_image(&image, ijvm_jsl::install_natives)
-        .expect("image restores");
-    handle.terminate_at(IsolateId(0), KILL_VCLOCK);
-    let mut outcome = cluster.run();
-    let observed = observe(&mut outcome, std::slice::from_ref(&tids));
-    assert_eq!(
-        baseline, observed,
-        "terminating a restored unit must match terminating a plain one"
-    );
-    let vm = &outcome.units[0].vm;
-    assert_ne!(
-        vm.isolate_state(IsolateId(0)).unwrap(),
-        IsolateState::Active,
-        "restored unit's workload isolate must be terminable"
-    );
-    for (i, result) in observed[0].results.iter().enumerate() {
-        let err = result
-            .as_ref()
-            .expect_err("threads of a terminated isolate cannot produce results");
+        // Restored: resumed from the image and killed at the same vclock —
+        // the same absolute execution point as the baseline kill.
+        let mut cluster = Cluster::builder()
+            .scheduler(SchedulerKind::Deterministic)
+            .slice(SLICE)
+            .vm_options(lane.options(QUANTUM))
+            .build();
+        let handle = cluster
+            .submit_image(&image, ijvm_jsl::install_natives)
+            .expect("image restores");
+        handle.terminate_at(IsolateId(0), KILL_VCLOCK);
+        let mut outcome = cluster.run();
+        let observed = observe_cluster(&mut outcome, std::slice::from_ref(&tids));
+        assert_eq!(
+            baseline, observed,
+            "{lane}: terminating a restored unit must match terminating a plain one"
+        );
+        let vm = &outcome.units[0].vm;
+        assert_ne!(
+            vm.isolate_state(IsolateId(0)).unwrap(),
+            IsolateState::Active,
+            "restored unit's workload isolate must be terminable"
+        );
+        for (i, result) in observed[0].results.iter().enumerate() {
+            let err = result
+                .as_ref()
+                .expect_err("threads of a terminated isolate cannot produce results");
+            assert!(
+                err.contains("StoppedIsolateException"),
+                "thread {i}: expected StoppedIsolateException, got {err}"
+            );
+        }
+        // Termination ran a full collection: only the handful of
+        // host-rooted objects (thread mirrors, the in-flight exceptions)
+        // survive, identically to the never-checkpointed baseline.
+        let snaps = vm.metrics().isolates;
+        let live = (snaps[0].stats.live_objects, snaps[0].stats.live_bytes);
+        assert_eq!(
+            live, baseline_live,
+            "restore must not leak heap past termination"
+        );
         assert!(
-            err.contains("StoppedIsolateException"),
-            "thread {i}: expected StoppedIsolateException, got {err}"
+            live.0 < snaps[0].stats.allocated_objects,
+            "termination should have reclaimed workload objects: {live:?} live of {} allocated",
+            snaps[0].stats.allocated_objects
         );
     }
-    // Termination ran a full collection: only the handful of
-    // host-rooted objects (thread mirrors, the in-flight exceptions)
-    // survive, identically to the never-checkpointed baseline.
-    let snaps = vm.metrics().isolates;
-    let live = (snaps[0].stats.live_objects, snaps[0].stats.live_bytes);
-    assert_eq!(
-        live, baseline_live,
-        "restore must not leak heap past termination"
-    );
-    assert!(
-        live.0 < snaps[0].stats.allocated_objects,
-        "termination should have reclaimed workload objects: {live:?} live of {} allocated",
-        snaps[0].stats.allocated_objects
-    );
 }
 
 /// Host calls reuse released thread slots by position, so a VM
@@ -686,110 +518,112 @@ fn restore_then_terminate_reclaims_everything() {
 /// so an explicit release of the owner's slot is refused on both copies.
 #[test]
 fn host_call_batches_image_identically_across_restore() {
-    use ijvm_classfile::{AccessFlags, ClassBuilder, Opcode};
+    for lane in Lane::configs() {
+        use ijvm_classfile::{AccessFlags, ClassBuilder, Opcode};
 
-    let options = lane_options(QUANTUM);
-    let other = if engine_lane().0 == EngineKind::Raw {
-        EngineKind::Threaded
-    } else {
-        EngineKind::Raw
-    };
-    let mut vm = ijvm_jsl::boot(options.clone());
-    let iso = vm.create_isolate("host");
-    let loader = vm.loader_of(iso).unwrap();
-    let src = r#"
-        class H {
-            static int n = 0;
-            static int inc(int x) { n = n + x; return n; }
-            static Object make() { return new H(); }
-            static int boom(int x) { throw new IllegalStateException("boom " + x); }
+        let options = lane.options(QUANTUM);
+        let other = if lane.kind() == EngineKind::Raw {
+            EngineKind::Threaded
+        } else {
+            EngineKind::Raw
+        };
+        let mut vm = ijvm_jsl::boot(options.clone());
+        let iso = vm.create_isolate("host");
+        let loader = vm.loader_of(iso).unwrap();
+        let src = r#"
+            class H {
+                static int n = 0;
+                static int inc(int x) { n = n + x; return n; }
+                static Object make() { return new H(); }
+                static int boom(int x) { throw new IllegalStateException("boom " + x); }
+            }
+        "#;
+        for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(loader, &name, bytes);
         }
-    "#;
-    for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(loader, &name, bytes);
-    }
-    let mut cb = ClassBuilder::new("Locks", "java/lang/Object", AccessFlags::PUBLIC);
-    let mut m = cb.method(
-        "hold",
-        "(Ljava/lang/Object;)I",
-        AccessFlags(AccessFlags::PUBLIC.0 | AccessFlags::STATIC.0),
-    );
-    m.aload(0);
-    m.op(Opcode::Monitorenter);
-    m.const_int(7);
-    m.op(Opcode::Ireturn);
-    m.done().unwrap();
-    let bytes = ijvm_classfile::writer::write_class(&cb.build().unwrap()).unwrap();
-    vm.add_class_bytes(loader, "Locks", bytes);
-    let h = vm.load_class(loader, "H").unwrap();
-    let locks = vm.load_class(loader, "Locks").unwrap();
-
-    let batch = |vm: &mut Vm, k: i32| {
-        let lock = vm
-            .new_string(iso, &format!("lock{k}"))
-            .expect("heap has room");
-        vm.pin(lock);
-        let mut results = Vec::new();
-        for x in 0..20 {
-            let r = vm.call_static_as(h, "inc", "(I)I", vec![Value::Int(k * 100 + x)], iso);
-            results.push(format!("{r:?}"));
-        }
-        let err = vm
-            .call_static_as(h, "boom", "(I)I", vec![Value::Int(k)], iso)
-            .unwrap_err();
-        results.push(err.to_string());
-        let obj = vm
-            .call_static_as(h, "make", "()Ljava/lang/Object;", vec![], iso)
-            .unwrap();
-        results.push(format!("{obj:?}"));
-        let held = vm.call_static_as(
-            locks,
+        let mut cb = ClassBuilder::new("Locks", "java/lang/Object", AccessFlags::PUBLIC);
+        let mut m = cb.method(
             "hold",
             "(Ljava/lang/Object;)I",
-            vec![Value::Ref(lock)],
-            iso,
+            AccessFlags(AccessFlags::PUBLIC.0 | AccessFlags::STATIC.0),
         );
-        results.push(format!("{held:?}"));
-        (results, vm.thread_count())
-    };
+        m.aload(0);
+        m.op(Opcode::Monitorenter);
+        m.const_int(7);
+        m.op(Opcode::Ireturn);
+        m.done().unwrap();
+        let bytes = ijvm_classfile::writer::write_class(&cb.build().unwrap()).unwrap();
+        vm.add_class_bytes(loader, "Locks", bytes);
+        let h = vm.load_class(loader, "H").unwrap();
+        let locks = vm.load_class(loader, "Locks").unwrap();
 
-    let first = batch(&mut vm, 0);
-    let image = vm.checkpoint().expect("a host-held VM is quiescent");
-    let mut restored = ijvm_core::checkpoint::restore(
-        &image,
-        options.with_engine(other),
-        ijvm_jsl::install_natives,
-    )
-    .expect("image restores under the other engine");
-    assert_eq!(restored.thread_count(), first.1);
+        let batch = |vm: &mut Vm, k: i32| {
+            let lock = vm
+                .new_string(iso, &format!("lock{k}"))
+                .expect("heap has room");
+            vm.pin(lock);
+            let mut results = Vec::new();
+            for x in 0..20 {
+                let r = vm.call_static_as(h, "inc", "(I)I", vec![Value::Int(k * 100 + x)], iso);
+                results.push(format!("{r:?}"));
+            }
+            let err = vm
+                .call_static_as(h, "boom", "(I)I", vec![Value::Int(k)], iso)
+                .unwrap_err();
+            results.push(err.to_string());
+            let obj = vm
+                .call_static_as(h, "make", "()Ljava/lang/Object;", vec![], iso)
+                .unwrap();
+            results.push(format!("{obj:?}"));
+            let held = vm.call_static_as(
+                locks,
+                "hold",
+                "(Ljava/lang/Object;)I",
+                vec![Value::Ref(lock)],
+                iso,
+            );
+            results.push(format!("{held:?}"));
+            (results, vm.thread_count())
+        };
 
-    let mut finals = Vec::new();
-    for vm in [&mut vm, &mut restored] {
-        let owner = ThreadId(vm.thread_count() as u32 - 1);
-        assert_eq!(vm.release_thread(owner).unwrap(), Some(Value::Int(7)));
-        assert_eq!(
-            vm.thread_count(),
-            first.1,
-            "the monitor owner keeps its slot"
+        let first = batch(&mut vm, 0);
+        let image = vm.checkpoint().expect("a host-held VM is quiescent");
+        let mut restored = ijvm_core::checkpoint::restore(
+            &image,
+            options.with_engine(other),
+            ijvm_jsl::install_natives,
+        )
+        .expect("image restores under the other engine");
+        assert_eq!(restored.thread_count(), first.1);
+
+        let mut finals = Vec::new();
+        for vm in [&mut vm, &mut restored] {
+            let owner = ThreadId(vm.thread_count() as u32 - 1);
+            assert_eq!(vm.release_thread(owner).unwrap(), Some(Value::Int(7)));
+            assert_eq!(
+                vm.thread_count(),
+                first.1,
+                "the monitor owner keeps its slot"
+            );
+            let second = batch(vm, 1);
+            finals.push((second, vm.checkpoint().unwrap().into_bytes()));
+        }
+        assert_eq!(finals[0].0, finals[1].0, "second batch results");
+        // Two slots per batch stay: the object root and the monitor owner.
+        assert_eq!(finals[0].0 .1, first.1 + 2);
+        assert!(
+            finals[0].1 == finals[1].1,
+            "final images differ ({} vs {} bytes)",
+            finals[0].1.len(),
+            finals[1].1.len()
         );
-        let second = batch(vm, 1);
-        finals.push((second, vm.checkpoint().unwrap().into_bytes()));
     }
-    assert_eq!(finals[0].0, finals[1].0, "second batch results");
-    // Two slots per batch stay: the object root and the monitor owner.
-    assert_eq!(finals[0].0 .1, first.1 + 2);
-    assert!(
-        finals[0].1 == finals[1].1,
-        "final images differ ({} vs {} bytes)",
-        finals[0].1.len(),
-        finals[1].1.len()
-    );
 }
 
 /// A small but fully populated donor image for hostile-input tests.
 fn fuzz_image_bytes() -> &'static [u8] {
     static IMG: OnceLock<Vec<u8>> = OnceLock::new();
-    IMG.get_or_init(|| warmed_server_image(lane_options(QUANTUM)).into_bytes())
+    IMG.get_or_init(|| warmed_server_image(Lane::DEFAULT.options(QUANTUM)).into_bytes())
 }
 
 proptest! {

@@ -1,218 +1,94 @@
 //! Differential tests: every program must behave identically under the
-//! raw byte interpreter and the direct-threaded handler engine (fused
-//! and unfused) — same results, same console output, same guest
-//! instruction counts (the budget quantum is counted per logical
-//! instruction in both engines), same exceptions, and the same
-//! resource-accounting totals.
+//! raw byte interpreter (the oracle) and in every lane of the lane table
+//! (`tests/common`) — same results, console output, guest instruction
+//! counts (the budget quantum is counted per logical instruction in every
+//! engine), exceptions, migrations and resource-accounting totals. Each
+//! lane is compared with the untraced, default-paced raw oracle of its
+//! isolation mode, so the traced lanes pin the flight recorder's
+//! zero-perturbation guarantee and the stress lanes pin that a
+//! collection at every allocation frees nothing live. `parallel` lanes
+//! run the program as one unit of a two-worker work-stealing cluster.
 //!
-//! The combinations compared are env-var selectable so CI can run them
-//! as a matrix whose job name alone attributes a per-mode failure:
-//!
-//! * `IJVM_DIFF_ISOLATION` — `shared`, `isolated`, or unset for both;
-//! * `IJVM_DIFF_ENGINE` — the candidate compared against the raw oracle:
-//!   `threaded`, `threaded-nofuse`, `parallel`, `parallel-nofuse`,
-//!   `raw` (a control lane), or unset for threaded fused and unfused;
-//! * `IJVM_DIFF_TRACE` — `full` runs every *candidate* with the flight
-//!   recorder on ([`TraceConfig::Full`]) while the oracle stays
-//!   untraced, pinning the tracing layer's zero-perturbation guarantee:
-//!   results, console, vclock, migrations and exact accounting must all
-//!   stay bit-identical with tracing enabled.
+//! The random-program proptest is heavy and runs its listed subset of
+//! lanes; every other test runs every selected lane.
 
-use ijvm_core::engine::EngineKind;
+mod common;
+
+use common::{Engine, Gc, Heavy, Lane, Observed};
 use ijvm_core::prelude::*;
 use ijvm_core::vm::Vm;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use proptest::prelude::*;
 
-/// A candidate engine configuration compared against the raw oracle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Candidate {
-    engine: EngineKind,
-    superinstructions: bool,
-    /// Run through the parallel work-stealing cluster scheduler
-    /// (`SchedulerKind::Parallel(2)`, sliced) instead of a plain
-    /// `Vm::run` — the whole observation set must still match the raw
-    /// oracle bit for bit.
-    cluster: bool,
-    /// Run with the flight recorder on (`TraceConfig::Full`); the
-    /// observation set must still match the untraced oracle.
-    trace: bool,
-}
-
-/// Whether `IJVM_DIFF_TRACE=full` asks for traced candidates.
-fn trace_lane() -> bool {
-    match std::env::var("IJVM_DIFF_TRACE").as_deref() {
-        Ok("full") => true,
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_TRACE {other:?}"),
-        _ => false,
-    }
-}
-
-/// Isolation modes selected by `IJVM_DIFF_ISOLATION`.
-fn selected_modes() -> Vec<IsolationMode> {
-    match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
-        Ok("shared") => vec![IsolationMode::Shared],
-        Ok("isolated") => vec![IsolationMode::Isolated],
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ISOLATION {other:?}"),
-        _ => vec![IsolationMode::Shared, IsolationMode::Isolated],
-    }
-}
-
-/// Candidate engines selected by `IJVM_DIFF_ENGINE`.
-fn selected_candidates() -> Vec<Candidate> {
-    let trace = trace_lane();
-    let threaded = Candidate {
-        engine: EngineKind::Threaded,
-        superinstructions: true,
-        cluster: false,
-        trace,
-    };
-    let threaded_nofuse = Candidate {
-        engine: EngineKind::Threaded,
-        superinstructions: false,
-        cluster: false,
-        trace,
-    };
-    match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("threaded") => vec![threaded],
-        Ok("threaded-nofuse") => vec![threaded_nofuse],
-        // Cluster lanes: the default engine driven by the parallel
-        // work-stealing scheduler, fused and unfused.
-        Ok("parallel") => vec![Candidate {
-            cluster: true,
-            ..threaded
-        }],
-        Ok("parallel-nofuse") => vec![Candidate {
-            cluster: true,
-            ..threaded_nofuse
-        }],
-        // Control lane: the oracle against itself, catching harness bugs
-        // (and, with IJVM_DIFF_TRACE=full, traced-raw vs untraced-raw).
-        Ok("raw") => vec![Candidate {
-            engine: EngineKind::Raw,
-            superinstructions: true,
-            cluster: false,
-            trace,
-        }],
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ENGINE {other:?}"),
-        _ => vec![threaded, threaded_nofuse],
-    }
-}
-
-/// Everything we compare between engines after one run.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    result: Option<String>,
-    error: Option<String>,
-    vclock: u64,
-    migrations: u64,
-    console: Vec<String>,
-    cpu_exact: Vec<u64>,
-    cpu_sampled_total: u64,
-    allocated_objects: Vec<u64>,
-}
-
-fn run_program(
-    src: &str,
-    entry: &str,
+/// Spawns a thread running `method` in `iso`.
+fn spawn(
+    vm: &mut Vm,
+    class: ClassId,
     method: &str,
     desc: &str,
     args: Vec<Value>,
-    mode: IsolationMode,
-    candidate: Candidate,
-) -> Observed {
-    let mut options = match mode {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
+    iso: IsolateId,
+) -> ThreadId {
+    let index = vm.class(class).find_method(method, desc).unwrap();
+    vm.spawn_thread(
+        &format!("call:{method}"),
+        MethodRef { class, index },
+        args,
+        iso,
+    )
+    .unwrap()
+}
+
+/// Runs `vm` to completion and observes it: under a plain `Vm::run`, or
+/// for a `parallel` lane as one unit of a two-worker cluster, sliced so
+/// the unit crosses many quantum boundaries and is stealable between
+/// them. Hands the VM back for further checks.
+fn finish(lane: Lane, mut vm: Vm, tids: &[ThreadId]) -> (Observed, Vm) {
+    if lane.engine != Engine::Parallel {
+        let outcome = vm.run(None);
+        return (Observed::of(&mut vm, outcome, tids), vm);
     }
-    .with_engine(candidate.engine)
-    .with_superinstructions(candidate.superinstructions);
-    if candidate.trace {
-        options = options.with_trace(TraceConfig::Full);
-    }
-    let mut vm = ijvm_jsl::boot(options);
+    let mut cluster = Cluster::builder()
+        .scheduler(SchedulerKind::Parallel(2))
+        .slice(1_000)
+        .build();
+    cluster.submit(vm);
+    let mut out = cluster.run();
+    let observed = common::observe_cluster(&mut out, &[tids.to_vec()]).remove(0);
+    (observed, out.units.remove(0).vm)
+}
+
+/// Boots a VM in `lane` at `quantum` with `src` loaded into one isolate.
+fn boot(lane: Lane, quantum: u32, src: &str, entry: &str) -> (Vm, ClassId, IsolateId) {
+    let mut vm = ijvm_jsl::boot(lane.options(quantum));
     let iso = vm.create_isolate("diff");
     let loader = vm.loader_of(iso).unwrap();
     for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
         vm.add_class_bytes(loader, &name, bytes);
     }
     let class = vm.load_class(loader, entry).unwrap();
-    if candidate.cluster {
-        return run_in_cluster(vm, class, method, desc, args, iso);
-    }
-    let outcome = vm.call_static_as(class, method, desc, args, iso);
-    observe(&mut vm, outcome)
+    (vm, class, iso)
 }
 
-/// Runs the prepared program as one unit of a two-worker parallel
-/// cluster (sliced, so the unit crosses many quantum boundaries and is
-/// stealable between them), then reports the outcome exactly as
-/// `Vm::call_static_as` would.
-fn run_in_cluster(
-    mut vm: Vm,
-    class: ClassId,
-    method: &str,
-    desc: &str,
-    args: Vec<Value>,
-    iso: IsolateId,
-) -> Observed {
-    use ijvm_core::sched::{Cluster, SchedulerKind};
-    let index = vm.class(class).find_method(method, desc).unwrap();
-    let mref = MethodRef { class, index };
-    let tid = vm
-        .spawn_thread(&format!("call:{method}"), mref, args, iso)
-        .unwrap();
-    let mut cluster = Cluster::builder()
-        .scheduler(SchedulerKind::Parallel(2))
-        .slice(1_000)
-        .build();
-    let unit = cluster.submit(vm);
-    let mut out = cluster.run();
-    // `units` is indexed by UnitId regardless of completion order.
-    let finished = out.units.remove(unit.id().index() as usize);
-    let mut vm = finished.vm;
-    let outcome = match finished.report.outcome {
-        RunOutcome::Deadlock | RunOutcome::Blocked => Err(ijvm_core::VmError::Deadlock),
-        RunOutcome::BudgetExhausted => Err(ijvm_core::VmError::BudgetExhausted),
-        // The wildcard covers Idle (and, RunOutcome being
-        // #[non_exhaustive], any future outcome defaults to "ran to
-        // completion, read the thread result").
-        _ => vm.thread_outcome(tid),
-    };
-    // The cluster aggregate (fed only by worker buffers draining at
-    // migration points) must agree with the in-VM exact counters.
-    for i in 0..vm.isolate_count() {
-        let iso = IsolateId(i as u16);
-        assert_eq!(
-            out.accounts.cpu_exact(unit.id(), iso),
-            vm.isolate_stats(iso).unwrap().cpu_exact,
-            "cluster aggregate diverged for {iso}"
-        );
-    }
-    observe(&mut vm, outcome)
-}
-
-fn observe(vm: &mut Vm, outcome: ijvm_core::Result<Option<Value>>) -> Observed {
-    let (result, error) = match outcome {
-        Ok(v) => (v.map(|v| format!("{v}")), None),
-        Err(e) => (None, Some(e.to_string())),
-    };
-    let snaps = vm.metrics().isolates;
-    Observed {
-        result,
-        error,
-        vclock: vm.vclock(),
-        migrations: vm.migrations(),
-        console: vm.take_console(),
-        cpu_exact: snaps.iter().map(|s| s.stats.cpu_exact).collect(),
-        cpu_sampled_total: snaps.iter().map(|s| s.stats.cpu_sampled).sum(),
-        allocated_objects: snaps.iter().map(|s| s.stats.allocated_objects).collect(),
+/// Runs `run` in each of `lanes` and under the oracle of the lane's
+/// isolation mode (once per mode), and hands each `(lane, oracle, lane's
+/// run)` to `check`.
+fn against_oracle<T>(lanes: Vec<Lane>, run: impl Fn(Lane) -> T, check: impl Fn(Lane, &T, &T)) {
+    let mut oracles: Vec<(IsolationMode, T)> = Vec::new();
+    for lane in lanes {
+        let i = match oracles.iter().position(|(mode, _)| *mode == lane.isolation) {
+            Some(i) => i,
+            None => {
+                oracles.push((lane.isolation, run(Lane::oracle(lane.isolation))));
+                oracles.len() - 1
+            }
+        };
+        check(lane, &oracles[i].1, &run(lane));
     }
 }
 
-/// Runs one program under the raw oracle and every selected candidate in
-/// every selected isolation mode, asserting the observations match
-/// exactly.
+/// Runs `C.method(args)` of one program in every lane against the raw
+/// oracle.
 fn assert_engines_agree(
     name: &str,
     src: &str,
@@ -221,22 +97,14 @@ fn assert_engines_agree(
     desc: &str,
     args: Vec<Value>,
 ) {
-    let oracle = Candidate {
-        engine: EngineKind::Raw,
-        superinstructions: true,
-        cluster: false,
-        trace: false,
+    let run = |lane: Lane| {
+        let (mut vm, class, iso) = boot(lane, 10_000, src, entry);
+        let tid = spawn(&mut vm, class, method, desc, args.clone(), iso);
+        finish(lane, vm, &[tid]).0
     };
-    for mode in selected_modes() {
-        let raw = run_program(src, entry, method, desc, args.clone(), mode, oracle);
-        for candidate in selected_candidates() {
-            let observed = run_program(src, entry, method, desc, args.clone(), mode, candidate);
-            assert_eq!(
-                raw, observed,
-                "{name} diverged in {mode:?} mode under {candidate:?}"
-            );
-        }
-    }
+    against_oracle(Lane::all(), run, |lane, oracle, seen| {
+        assert_eq!(oracle, seen, "{name} diverged in {lane}")
+    });
 }
 
 #[test]
@@ -428,9 +296,10 @@ fn strings_and_clinit_agree() {
 
 #[test]
 fn quantum_interleaving_agrees() {
-    // Two threads incrementing a shared static under a small quantum:
-    // the deterministic scheduler must interleave identically under both
-    // engines, because instruction counting is per logical instruction.
+    // Two threads incrementing a shared static under a small quantum
+    // (forcing frequent thread switches): the deterministic scheduler
+    // must interleave identically in every lane, because instruction
+    // counting is per logical instruction.
     let src = r#"
         class G {
             static int hits;
@@ -440,58 +309,15 @@ fn quantum_interleaving_agrees() {
             }
         }
     "#;
-    let oracle = Candidate {
-        engine: EngineKind::Raw,
-        superinstructions: true,
-        cluster: false,
-        trace: false,
+    let run = |lane: Lane| {
+        let (mut vm, class, iso) = boot(lane, 137, src, "G");
+        let t1 = spawn(&mut vm, class, "spin", "(I)I", vec![Value::Int(600)], iso);
+        let t2 = spawn(&mut vm, class, "spin", "(I)I", vec![Value::Int(600)], iso);
+        finish(lane, vm, &[t1, t2]).0
     };
-    for mode in selected_modes() {
-        let mut seen = Vec::new();
-        for candidate in std::iter::once(oracle).chain(selected_candidates()) {
-            let mut options = match mode {
-                IsolationMode::Shared => VmOptions::shared(),
-                IsolationMode::Isolated => VmOptions::isolated(),
-            }
-            .with_engine(candidate.engine)
-            .with_superinstructions(candidate.superinstructions);
-            if candidate.trace {
-                options = options.with_trace(TraceConfig::Full);
-            }
-            options.quantum = 137; // force frequent thread switches
-            let mut vm = ijvm_jsl::boot(options);
-            let iso = vm.create_isolate("diff");
-            let loader = vm.loader_of(iso).unwrap();
-            for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
-                vm.add_class_bytes(loader, &name, bytes);
-            }
-            let class = vm.load_class(loader, "G").unwrap();
-            let index = {
-                let mref = vm.class(class).find_method("spin", "(I)I").unwrap();
-                MethodRef { class, index: mref }
-            };
-            let t1 = vm
-                .spawn_thread("a", index, vec![Value::Int(600)], iso)
-                .unwrap();
-            let t2 = vm
-                .spawn_thread("b", index, vec![Value::Int(600)], iso)
-                .unwrap();
-            assert_eq!(vm.run(None), RunOutcome::Idle);
-            let r1 = vm.thread_result(t1);
-            let r2 = vm.thread_result(t2);
-            seen.push((
-                r1.map(|v| v.to_string()),
-                r2.map(|v| v.to_string()),
-                vm.vclock(),
-            ));
-        }
-        for (i, s) in seen.iter().enumerate().skip(1) {
-            assert_eq!(
-                &seen[0], s,
-                "interleaving diverged in {mode:?} mode (lane {i})"
-            );
-        }
-    }
+    against_oracle(Lane::all(), run, |lane, oracle, seen| {
+        assert_eq!(oracle, seen, "interleaving diverged in {lane}")
+    });
 }
 
 #[test]
@@ -519,51 +345,46 @@ fn string_ldc_caching_agrees_across_gc_epochs() {
             }
         }
     "#;
-    let oracle = Candidate {
-        engine: EngineKind::Raw,
-        superinstructions: true,
-        cluster: false,
-        trace: false,
-    };
-    for mode in selected_modes() {
-        let mut seen = Vec::new();
-        for candidate in std::iter::once(oracle).chain(selected_candidates()) {
-            let mut options = match mode {
-                IsolationMode::Shared => VmOptions::shared(),
-                IsolationMode::Isolated => VmOptions::isolated(),
-            }
-            .with_engine(candidate.engine)
-            .with_superinstructions(candidate.superinstructions);
-            if candidate.trace {
-                options = options.with_trace(TraceConfig::Full);
-            }
+    // A stress lane collects at every allocation instead; its epoch
+    // count is its own.
+    let run = |lane: Lane| {
+        let mut options = lane.options(10_000);
+        if lane.gc == Gc::Default {
             options.gc_threshold_bytes = 64 << 10; // force frequent epochs
-            let mut vm = ijvm_jsl::boot(options);
-            let iso = vm.create_isolate("ldc");
-            let loader = vm.loader_of(iso).unwrap();
-            for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
-                vm.add_class_bytes(loader, &name, bytes);
+        }
+        let mut vm = ijvm_jsl::boot(options);
+        let iso = vm.create_isolate("ldc");
+        let loader = vm.loader_of(iso).unwrap();
+        for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(loader, &name, bytes);
+        }
+        let class = vm.load_class(loader, "L").unwrap();
+        let tid = spawn(&mut vm, class, "spin", "(I)I", vec![Value::Int(800)], iso);
+        let (observed, vm) = finish(lane, vm, &[tid]);
+        (observed, vm.gc_count())
+    };
+    against_oracle(
+        Lane::all(),
+        run,
+        |lane, (oracle, oracle_gcs), (seen, gcs)| {
+            assert!(
+                *oracle_gcs > 2 && *gcs > 2,
+                "the workload must actually cycle GC epochs (saw {oracle_gcs} and {gcs})"
+            );
+            assert_eq!(oracle, seen, "ldc caching diverged in {lane}");
+            if lane.gc == Gc::Default {
+                assert_eq!(oracle_gcs, gcs, "GC epochs diverged in {lane}");
             }
-            let class = vm.load_class(loader, "L").unwrap();
-            let outcome = vm.call_static_as(class, "spin", "(I)I", vec![Value::Int(800)], iso);
-            let gc_runs = vm.gc_count();
-            seen.push((observe(&mut vm, outcome), gc_runs));
-        }
-        assert!(
-            seen[0].1 > 2,
-            "the workload must actually cycle GC epochs (saw {})",
-            seen[0].1
-        );
-        for (i, s) in seen.iter().enumerate().skip(1) {
-            assert_eq!(&seen[0], s, "ldc caching diverged in {mode:?} (lane {i})");
-        }
-    }
+        },
+    );
 }
 
 #[test]
 fn isolate_termination_agrees() {
-    // A callee isolate is terminated mid-workload; both engines must see
-    // the same StoppedIsolateException surface.
+    // A callee isolate is terminated mid-workload; every isolated lane
+    // must see the same StoppedIsolateException surface. The calls are
+    // host calls, which no cluster runs, so the `parallel` lanes do not
+    // apply.
     let callee_src = r#"
         class Svc {
             int poke(int x) { return x + 1; }
@@ -577,21 +398,8 @@ fn isolate_termination_agrees() {
             static int call(Svc s) { return s.poke(5); }
         }
     "#;
-    let oracle = Candidate {
-        engine: EngineKind::Raw,
-        superinstructions: true,
-        cluster: false,
-        trace: false,
-    };
-    let mut seen = Vec::new();
-    for candidate in std::iter::once(oracle).chain(selected_candidates()) {
-        let mut options = VmOptions::isolated()
-            .with_engine(candidate.engine)
-            .with_superinstructions(candidate.superinstructions);
-        if candidate.trace {
-            options = options.with_trace(TraceConfig::Full);
-        }
-        let mut vm = ijvm_jsl::boot(options);
+    let run = |lane: Lane| {
+        let mut vm = ijvm_jsl::boot(lane.options(10_000));
         let home = vm.create_isolate("home");
         let home_loader = vm.loader_of(home).unwrap();
         let callee = vm.create_isolate("callee");
@@ -634,15 +442,22 @@ fn isolate_termination_agrees() {
             Err(ijvm_core::VmError::UncaughtException { class_name, .. }) => Some(class_name),
             other => panic!("expected uncaught exception, got {other:?}"),
         };
-        seen.push((uncaught, vm.migrations()));
-    }
-    for (i, s) in seen.iter().enumerate().skip(1) {
-        assert_eq!(&seen[0], s, "termination behaviour diverged (lane {i})");
-    }
-    assert_eq!(
-        seen[0].0.as_deref(),
-        Some("org/ijvm/StoppedIsolateException"),
-        "terminated callee must poison the call"
+        (uncaught, vm.migrations())
+    };
+    against_oracle(
+        common::isolated(Lane::all())
+            .into_iter()
+            .filter(|l| l.engine != Engine::Parallel)
+            .collect(),
+        run,
+        |lane, oracle, seen| {
+            assert_eq!(
+                oracle.0.as_deref(),
+                Some("org/ijvm/StoppedIsolateException"),
+                "terminated callee must poison the call"
+            );
+            assert_eq!(oracle, seen, "termination behaviour diverged in {lane}");
+        },
     );
 }
 
@@ -802,8 +617,8 @@ const CMP_OPS: [ijvm_classfile::Opcode; 6] = [
 
 /// Assembles a random but well-formed class `P` with a static `run()I`
 /// built from structured chunks that keep the operand stack empty between
-/// chunks. Compared to the superinstruction generator, the menu here also
-/// exercises call-site quickening (`invokestatic` to a helper),
+/// chunks. Besides the fusable shapes, the menu exercises call-site
+/// quickening (`invokestatic` to a helper),
 /// static fields, string `ldc` (the per-site cache), and allocation (GC
 /// pressure + accounting), so the threaded engine's quickening transitions
 /// fire under random interleavings. Every branch is a short forward skip,
@@ -909,59 +724,46 @@ fn build_random_program(ops: &[u8]) -> Vec<u8> {
     ijvm_classfile::writer::write_class(&cb.build().unwrap()).unwrap()
 }
 
-/// Runs the random program under one engine configuration, returning the
-/// full observation set.
-fn run_random_program(
-    bytes: &[u8],
-    mode: IsolationMode,
-    candidate: Candidate,
-    quantum: u32,
-) -> Observed {
-    let mut options = match mode {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(candidate.engine)
-    .with_superinstructions(candidate.superinstructions);
-    if candidate.trace {
-        options = options.with_trace(TraceConfig::Full);
-    }
-    options.quantum = quantum;
-    let mut vm = ijvm_jsl::boot(options);
+/// Runs the random program in `lane` at `quantum`.
+fn run_random_program(bytes: &[u8], lane: Lane, quantum: u32) -> Observed {
+    let mut vm = ijvm_jsl::boot(lane.options(quantum));
     let iso = vm.create_isolate("prog");
     let loader = vm.loader_of(iso).unwrap();
     vm.add_class_bytes(loader, "P", bytes.to_vec());
     let class = vm.load_class(loader, "P").unwrap();
-    let outcome = vm.call_static_as(class, "run", "()I", vec![], iso);
-    observe(&mut vm, outcome)
+    let tid = spawn(&mut vm, class, "run", "()I", vec![], iso);
+    finish(lane, vm, &[tid]).0
 }
 
 proptest! {
-    /// Raw vs Threaded (fused and unfused) over random
-    /// programs, random quanta, and both isolation modes: identical
-    /// results, exceptions, vclock, migrations, console, and per-isolate
-    /// accounting traces.
+    /// Random programs at random quanta, in the lanes listed for them:
+    /// identical results, exceptions, vclock, migrations, console and
+    /// per-isolate accounting to the raw oracle. Tiny quanta suspend
+    /// threads inside fused patterns, which must de-fuse at the boundary:
+    /// the vclock must also equal the threaded engine's at a quantum no
+    /// program exhausts.
     #[test]
     fn random_programs_agree_across_engines(
         ops in proptest::collection::vec(any::<u8>(), 0..100),
         quantum in 1u32..500,
     ) {
         let bytes = build_random_program(&ops);
-        let oracle = Candidate { engine: EngineKind::Raw, superinstructions: true, cluster: false, trace: false };
-        for mode in [IsolationMode::Shared, IsolationMode::Isolated] {
-            let raw = run_random_program(&bytes, mode, oracle, quantum);
-            for superinstructions in [true, false] {
-                let candidate = Candidate { engine: EngineKind::Threaded, superinstructions, cluster: false, trace: trace_lane() };
-                let observed = run_random_program(&bytes, mode, candidate, quantum);
-                prop_assert_eq!(
-                    &raw,
-                    &observed,
-                    "random program diverged in {:?} mode under {:?} (quantum {})",
-                    mode,
-                    candidate,
-                    quantum
-                );
-            }
+        let mut oracles: Vec<(IsolationMode, Observed)> = Vec::new();
+        for lane in Lane::heavy(Heavy::Programs) {
+            let i = match oracles.iter().position(|(mode, _)| *mode == lane.isolation) {
+                Some(i) => i,
+                None => {
+                    oracles.push((lane.isolation, run_random_program(&bytes, Lane::oracle(lane.isolation), quantum)));
+                    oracles.len() - 1
+                }
+            };
+            let observed = run_random_program(&bytes, lane, quantum);
+            prop_assert_eq!(&oracles[i].1, &observed, "random program diverged in {} (quantum {})", lane, quantum);
+        }
+        if let Some((mode, oracle)) = oracles.first() {
+            let wide = Lane { engine: Engine::Threaded, ..Lane::oracle(*mode) };
+            let wide = run_random_program(&bytes, wide, 1_000_000);
+            prop_assert_eq!(oracle.vclock, wide.vclock, "vclock depends on the quantum ({})", quantum);
         }
     }
 }

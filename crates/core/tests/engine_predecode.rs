@@ -1,23 +1,18 @@
-//! Golden tests for the pre-decoder: classfile bytes → `XInsn` stream
-//! (fused and unfused), plus property tests for the pc↔index maps.
+//! Golden tests for the pre-decoder: classfile bytes → fused `XInsn`
+//! stream, plus a property test for the pc↔index maps. The fusion
+//! property is a unit test beside the pass (`engine/predecode.rs`).
 
 use ijvm_classfile::{AccessFlags, ClassBuilder, ClassFile, Opcode};
 use ijvm_core::class::CodeBody;
 use ijvm_core::engine::{
-    predecode, predecode_with, Cmp, CmpRhs, FusedCmp, PreparedCode, SwitchTable, TrapKind, XInsn,
-    BAD_TARGET,
+    predecode, Cmp, CmpRhs, FusedCmp, PreparedCode, SwitchTable, TrapKind, XInsn, BAD_TARGET,
 };
 use proptest::prelude::*;
 
 const STATIC: AccessFlags = AccessFlags(AccessFlags::PUBLIC.0 | AccessFlags::STATIC.0);
 
-/// Builds a one-class file and pre-decodes `method`'s code with the
-/// superinstruction peephole enabled (the production default).
+/// Pre-decodes `method`'s code from a one-class file.
 fn predecode_method(cf: &ClassFile, method: &str) -> PreparedCode {
-    predecode_method_with(cf, method, true)
-}
-
-fn predecode_method_with(cf: &ClassFile, method: &str, fuse: bool) -> PreparedCode {
     let m = cf
         .methods
         .iter()
@@ -30,7 +25,7 @@ fn predecode_method_with(cf: &ClassFile, method: &str, fuse: bool) -> PreparedCo
         bytes: code.code.clone(),
         handlers: code.exception_table.clone(),
     };
-    predecode_with(&body, &cf.pool, fuse)
+    predecode(&body, &cf.pool)
 }
 
 fn build_class(build: impl FnOnce(&mut ClassBuilder)) -> ClassFile {
@@ -47,7 +42,7 @@ fn body_insns(p: &PreparedCode) -> Vec<XInsn> {
     all[..all.len() - 1].to_vec()
 }
 
-/// The arithmetic-loop classfile shared by the fused/unfused goldens:
+/// The arithmetic-loop classfile:
 /// `static int sum(int n) { int acc = 0; for (i = 0; i < n; i++) acc += i; return acc; }`
 fn arithmetic_loop_class() -> ClassFile {
     build_class(|cb| {
@@ -76,45 +71,14 @@ fn arithmetic_loop_class() -> ClassFile {
 }
 
 #[test]
-fn golden_arithmetic_loop_unfused() {
-    let cf = arithmetic_loop_class();
-    let p = predecode_method_with(&cf, "sum", false);
-    let insns = body_insns(&p);
-    // Every *load/*store family collapses to typeless Load/Store; the
-    // loop-head branch targets are instruction indices.
-    assert_eq!(
-        insns,
-        vec![
-            XInsn::IConst(0),
-            XInsn::Store(1),
-            XInsn::IConst(0),
-            XInsn::Store(2),
-            XInsn::Load(2), // index 4 == loop head
-            XInsn::Load(0),
-            XInsn::IfICmp {
-                cmp: Cmp::Ge,
-                target: 13
-            },
-            XInsn::Load(1),
-            XInsn::Load(2),
-            XInsn::Iadd,
-            XInsn::Store(1),
-            XInsn::Iinc { slot: 2, delta: 1 },
-            XInsn::Goto(4),
-            XInsn::Load(1), // index 13 == loop exit
-            XInsn::ReturnValue,
-        ]
-    );
-    assert!(p.fused_cmps.is_empty());
-}
-
-#[test]
 fn golden_arithmetic_loop_fused() {
-    // The same loop with the peephole on: the loop-head compare fuses to
-    // FusedCmpBr (Load+Load+IfICmp) and the accumulate body to AddStore
-    // (Load+Load+Iadd+Store). Fusion is non-destructive: only the first
-    // cell of each pattern is rewritten; the tails keep their original
-    // instructions so mid-pattern branch targets and resume pcs work.
+    // Every *load/*store family collapses to typeless Load/Store, and
+    // branch targets are instruction indices. The loop-head compare fuses
+    // to FusedCmpBr (Load+Load+IfICmp) and the accumulate body to
+    // AddStore (Load+Load+Iadd+Store). Fusion is non-destructive: only
+    // the first cell of each pattern is rewritten (here from `Load(2)`
+    // and `Load(1)`); the tails keep their original instructions so
+    // mid-pattern branch targets and resume pcs work.
     let cf = arithmetic_loop_class();
     let p = predecode_method(&cf, "sum");
     let insns = body_insns(&p);
@@ -150,10 +114,17 @@ fn golden_arithmetic_loop_fused() {
             target: 13,
         }]
     );
-    // The pc↔index maps are identical to the unfused stream's.
-    let unfused = predecode_method_with(&cf, "sum", false);
-    assert_eq!(p.idx_to_pc, unfused.idx_to_pc);
-    assert_eq!(p.pc_to_idx, unfused.pc_to_idx);
+    // The pc↔index maps are the plain stream's: one entry per decoded
+    // instruction, plus the fell-off-end guard at the code length.
+    let idx_to_pc = [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 16, 19, 20, 21];
+    assert_eq!(*p.idx_to_pc, idx_to_pc);
+    for (idx, &pc) in idx_to_pc.iter().enumerate() {
+        assert_eq!(p.pc_to_idx[pc as usize], idx as u32);
+    }
+    assert_eq!(
+        p.pc_to_idx.iter().filter(|&&i| i != BAD_TARGET).count(),
+        idx_to_pc.len()
+    );
 }
 
 #[test]
@@ -452,59 +423,6 @@ proptest! {
         for pc in 0..bytes.len() as u32 {
             if !bound_set.contains(&pc) {
                 prop_assert_eq!(p.index_of_pc(pc), None);
-            }
-        }
-        let _ = BAD_TARGET; // referenced to keep the API surface exercised
-    }
-
-    #[test]
-    fn fusion_preserves_maps_and_targets(ops in proptest::collection::vec(any::<u8>(), 0..200)) {
-        // Fusion only rewrites cells: stream length, pc↔index maps and
-        // side tables other than `fused_cmps` are byte-identical, every
-        // fused target is a real instruction boundary, and the pattern
-        // tails keep their original (de-fuseable) instructions.
-        let bytes = assemble(&ops);
-        let body = CodeBody { max_stack: 8, max_locals: 4, bytes, handlers: Vec::new() };
-        let pool = ijvm_classfile::ConstPool::new();
-        let fused = predecode_with(&body, &pool, true);
-        let plain = predecode_with(&body, &pool, false);
-
-        prop_assert_eq!(fused.insns.len(), plain.insns.len());
-        prop_assert_eq!(&fused.idx_to_pc, &plain.idx_to_pc);
-        prop_assert_eq!(&fused.pc_to_idx, &plain.pc_to_idx);
-
-        for (i, &insn) in fused.insns.iter().enumerate() {
-            match insn {
-                XInsn::AddStore { a, b, c } => {
-                    // The fused head must shadow exactly the plain pattern,
-                    // and the tail cells must be untouched.
-                    prop_assert_eq!(plain.insns[i], XInsn::Load(a));
-                    prop_assert_eq!(fused.insns[i + 1], XInsn::Load(b));
-                    prop_assert_eq!(fused.insns[i + 2], XInsn::Iadd);
-                    prop_assert_eq!(fused.insns[i + 3], XInsn::Store(c));
-                }
-                XInsn::FusedCmpBr(si) => {
-                    let fc = fused.fused_cmps[si as usize];
-                    prop_assert_eq!(plain.insns[i], XInsn::Load(fc.slot));
-                    match fc.rhs {
-                        CmpRhs::Const(k) => {
-                            prop_assert_eq!(fused.insns[i + 1], XInsn::IConst(k))
-                        }
-                        CmpRhs::Local(s) => {
-                            prop_assert_eq!(fused.insns[i + 1], XInsn::Load(s))
-                        }
-                    }
-                    let XInsn::IfICmp { cmp, target } = fused.insns[i + 2] else {
-                        prop_assert!(false, "fused tail lost its IfICmp");
-                        unreachable!();
-                    };
-                    prop_assert_eq!(fc.cmp, cmp);
-                    prop_assert_eq!(fc.target, target);
-                    // Fused branch targets are valid instruction indices.
-                    prop_assert!(fc.target != BAD_TARGET);
-                    prop_assert!(fused.pc_of_index(fc.target).is_some());
-                }
-                other => prop_assert_eq!(other, plain.insns[i]),
             }
         }
     }

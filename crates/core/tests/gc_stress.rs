@@ -1,23 +1,22 @@
-//! GC-stress oracle: with `gc_threshold_bytes = 0` every checked
-//! allocation collects first, so any reference a native, the wire
-//! decoder or the interpreter holds without rooting is freed (and its
-//! slot reused) at the next allocation. Every program must give the
-//! same answer under that schedule as under the default one, on both
-//! engines.
+//! GC-stress oracle: in a stress lane of the lane table (`tests/common`)
+//! every checked allocation collects first, so any reference a native,
+//! the wire decoder or the interpreter holds without rooting is freed
+//! (and its slot reused) at the next allocation. Every program must give
+//! the same answer in each stress lane as in its plain twin.
 //!
 //! The rest of the file covers the schedule itself: strings respect the
 //! heap limit, the pacing rule bounds the heap by what the last
 //! collection left live, and a VM restored from an image taken
 //! mid-churn collects where the original would have.
 
-use ijvm_core::engine::EngineKind;
+mod common;
+
+use common::{Gc, Lane};
 use ijvm_core::heap::ObjBody;
 use ijvm_core::prelude::*;
 use ijvm_core::vm::Vm;
 use ijvm_core::wire::{deserialize_value, serialize_value, WireError};
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
-
-const ENGINES: [EngineKind; 2] = [EngineKind::Raw, EngineKind::Threaded];
 
 const SOURCE: &str = r#"
     class Bx {
@@ -89,8 +88,8 @@ const SOURCE: &str = r#"
     }
 "#;
 
-fn boot(options: VmOptions) -> (Vm, ClassId, IsolateId) {
-    let mut vm = ijvm_jsl::boot(options);
+fn boot(lane: Lane) -> (Vm, ClassId, IsolateId) {
+    let mut vm = ijvm_jsl::boot(lane.options(10_000));
     let iso = vm.create_isolate("stress");
     let loader = vm.loader_of(iso).unwrap();
     for (name, bytes) in compile_to_bytes(SOURCE, &CompileEnv::new()).unwrap() {
@@ -100,33 +99,32 @@ fn boot(options: VmOptions) -> (Vm, ClassId, IsolateId) {
     (vm, class, iso)
 }
 
-fn options(engine: EngineKind, stress: bool) -> VmOptions {
-    let mut o = VmOptions::isolated().with_engine(engine);
-    if stress {
-        o.gc_threshold_bytes = 0;
-    }
-    o
+/// The selected stress lanes.
+fn stress_lanes() -> Vec<Lane> {
+    let mut lanes = Lane::all();
+    lanes.retain(|l| l.gc == Gc::Stress);
+    lanes
 }
 
-/// Runs `P.method(n)` on `engine`, under the stress schedule or the
-/// default one; returns the result and the number of collections.
-fn run_int(engine: EngineKind, stress: bool, method: &str, n: i32) -> (String, u64) {
-    let (mut vm, class, iso) = boot(options(engine, stress));
+/// Runs `P.method(n)` in `lane`; returns the result and the number of
+/// collections.
+fn run_int(lane: Lane, method: &str, n: i32) -> (String, u64) {
+    let (mut vm, class, iso) = boot(lane);
     let r = vm.call_static_as(class, method, "(I)I", vec![Value::Int(n)], iso);
     (format!("{r:?}"), vm.gc_count())
 }
 
-/// Every program answers the same under the stress schedule, which must
-/// collect at least `min_gcs` times, as under the default schedule.
+/// Every program answers the same in a stress lane, which must collect
+/// at least `min_gcs` times, as in its plain twin.
 fn agrees(method: &str, n: i32, min_gcs: u64) {
-    for engine in ENGINES {
-        let (expected, _) = run_int(engine, false, method, n);
+    for lane in stress_lanes() {
+        let (expected, _) = run_int(lane.plain(), method, n);
         assert!(expected.starts_with("Ok(Some(Int("), "{method}: {expected}");
-        let (stressed, gcs) = run_int(engine, true, method, n);
-        assert_eq!(stressed, expected, "{engine:?}: P.{method} under GC stress");
+        let (stressed, gcs) = run_int(lane, method, n);
+        assert_eq!(stressed, expected, "{lane}: P.{method}");
         assert!(
             gcs >= min_gcs,
-            "{engine:?}: P.{method} collected only {gcs} times"
+            "{lane}: P.{method} collected only {gcs} times"
         );
     }
 }
@@ -159,8 +157,8 @@ fn string_natives_agree_under_gc_stress() {
 /// isolate of the same VM and encodes the copy again: the two encodings
 /// must match, under the stress schedule (where every object the
 /// decoder makes collects first) and the default one alike.
-fn wire_round_trip(engine: EngineKind, stress: bool) -> (Vec<u8>, Vec<u8>, u64) {
-    let (mut vm, class, iso) = boot(options(engine, stress));
+fn wire_round_trip(lane: Lane) -> (Vec<u8>, Vec<u8>, u64) {
+    let (mut vm, class, iso) = boot(lane);
     let Some(Value::Ref(root)) = vm
         .call_static_as(
             class,
@@ -187,13 +185,13 @@ fn wire_round_trip(engine: EngineKind, stress: bool) -> (Vec<u8>, Vec<u8>, u64) 
 
 #[test]
 fn wire_decode_of_a_nested_graph_agrees_under_gc_stress() {
-    for engine in ENGINES {
-        let (original, again, _) = wire_round_trip(engine, false);
-        assert_eq!(again, original, "{engine:?}: default schedule");
-        let (stressed, again, gcs) = wire_round_trip(engine, true);
-        assert_eq!(stressed, original, "{engine:?}: graph built under stress");
-        assert_eq!(again, original, "{engine:?}: decoded under stress");
-        assert!(gcs >= 100, "{engine:?}: decode collected only {gcs} times");
+    for lane in stress_lanes() {
+        let (original, again, _) = wire_round_trip(lane.plain());
+        assert_eq!(again, original, "{}", lane.plain());
+        let (stressed, again, gcs) = wire_round_trip(lane);
+        assert_eq!(stressed, original, "{lane}: graph built under stress");
+        assert_eq!(again, original, "{lane}: decoded under stress");
+        assert!(gcs >= 100, "{lane}: decode collected only {gcs} times");
     }
 }
 
@@ -225,7 +223,7 @@ const LIMIT_SOURCE: &str = r#"
 #[test]
 fn string_natives_throw_out_of_memory_at_the_heap_limit() {
     const LIMIT: usize = 1 << 20;
-    for engine in ENGINES {
+    for engine in [EngineKind::Raw, EngineKind::Threaded] {
         let mut o = VmOptions::isolated().with_engine(engine);
         o.heap_limit_bytes = LIMIT;
         let mut vm = ijvm_jsl::boot(o);

@@ -11,207 +11,15 @@
 //! so every guest-visible observation (results, console, vclock,
 //! per-isolate exact CPU) converges to the same fixpoint in every mode.
 //! Trace counters like `quota_parks` ARE schedule-dependent and are only
-//! asserted against the deterministic oracle.
+//! asserted against the deterministic oracle, which always runs traced.
 //!
-//! Crosses with the CI differential matrix via `IJVM_DIFF_ENGINE` /
-//! `IJVM_DIFF_ISOLATION` exactly like `port_messaging.rs`.
+//! Every test runs in every VM configuration of the lane table
+//! (`tests/common`, [`Lane::configs`]).
 
-use ijvm_core::engine::EngineKind;
+mod common;
+
+use common::{assert_modes_agree, echo_server, isolated, run_scenario, Lane, Scenario, UnitSpec};
 use ijvm_core::prelude::*;
-use ijvm_core::sched::UnitHandle;
-use ijvm_minijava::{compile_to_bytes, CompileEnv};
-
-fn engine_lane() -> (EngineKind, bool) {
-    match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("threaded") | Ok("parallel") => (EngineKind::Threaded, true),
-        Ok("threaded-nofuse") | Ok("parallel-nofuse") => (EngineKind::Threaded, false),
-        Ok("raw") => (EngineKind::Raw, true),
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ENGINE {other:?}"),
-        _ => (EngineKind::Threaded, true),
-    }
-}
-
-fn isolation_lane() -> IsolationMode {
-    match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
-        Ok("shared") => IsolationMode::Shared,
-        Ok("isolated") => IsolationMode::Isolated,
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ISOLATION {other:?}"),
-        _ => IsolationMode::Isolated,
-    }
-}
-
-fn lane_options(quantum: u32, trace: bool) -> VmOptions {
-    let (engine, fuse) = engine_lane();
-    let mut options = match isolation_lane() {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(engine)
-    .with_superinstructions(fuse);
-    options.quantum = quantum;
-    if trace {
-        options.trace = TraceConfig::Full;
-    }
-    options
-}
-
-/// One unit of a scenario: a minijava program with `(I)I` entry threads.
-struct UnitSpec {
-    src: String,
-    entry: &'static str,
-    method: &'static str,
-    thread_args: Vec<i32>,
-}
-
-fn build_vm(spec: &UnitSpec, quantum: u32, trace: bool) -> (Vm, Vec<ThreadId>) {
-    let mut vm = ijvm_jsl::boot(lane_options(quantum, trace));
-    let iso = vm.create_isolate("unit");
-    let loader = vm.loader_of(iso).unwrap();
-    for (name, bytes) in compile_to_bytes(&spec.src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(loader, &name, bytes);
-    }
-    let class = vm.load_class(loader, spec.entry).unwrap();
-    let index = vm.class(class).find_method(spec.method, "(I)I").unwrap();
-    let mref = MethodRef { class, index };
-    let tids = spec
-        .thread_args
-        .iter()
-        .map(|&n| {
-            vm.spawn_thread("entry", mref, vec![Value::Int(n)], iso)
-                .unwrap()
-        })
-        .collect();
-    (vm, tids)
-}
-
-/// Everything compared across scheduler modes for one finished unit.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    results: Vec<Result<Option<String>, String>>,
-    outcome: RunOutcome,
-    vclock: u64,
-    console: Vec<String>,
-    cpu_exact: Vec<u64>,
-    aggregate_cpu: Vec<u64>,
-}
-
-/// Runs a scenario under `kind` with a per-unit mailbox quota, returning
-/// per-unit observations plus the aggregate metrics when tracing is on.
-fn run_scenario(
-    specs: &[UnitSpec],
-    kind: SchedulerKind,
-    quantum: u32,
-    slice: u64,
-    quota: Option<(u32, u64)>,
-    trace: bool,
-    kills: &[(usize, IsolateId, u64)],
-) -> (Vec<Observed>, Option<ClusterMetrics>) {
-    let mut builder = Cluster::builder().scheduler(kind).slice(slice);
-    if let Some((msgs, bytes)) = quota {
-        builder = builder.mailbox_quota(msgs, bytes);
-    }
-    let mut cluster = builder.build();
-    let mut handles: Vec<UnitHandle> = Vec::new();
-    let mut tids = Vec::new();
-    for spec in specs {
-        let (vm, unit_tids) = build_vm(spec, quantum, trace);
-        handles.push(cluster.submit(vm));
-        tids.push(unit_tids);
-    }
-    for &(u, iso, at_vclock) in kills {
-        handles[u].terminate_at(iso, at_vclock);
-    }
-    let mut outcome = cluster.run();
-    assert_eq!(outcome.units.len(), specs.len(), "every unit must finish");
-    let accounts = &outcome.accounts;
-    let mut observed = Vec::new();
-    for (u, unit_outcome) in outcome.units.iter_mut().enumerate() {
-        let report = unit_outcome.report;
-        let vm = &mut unit_outcome.vm;
-        let snaps = vm.metrics().isolates;
-        observed.push(Observed {
-            results: tids[u]
-                .iter()
-                .map(|&tid| {
-                    vm.thread_outcome(tid)
-                        .map(|v| v.map(|v| v.to_string()))
-                        .map_err(|e| e.to_string())
-                })
-                .collect(),
-            outcome: report.outcome,
-            vclock: vm.vclock(),
-            console: vm.take_console(),
-            cpu_exact: snaps.iter().map(|s| s.stats.cpu_exact).collect(),
-            aggregate_cpu: (0..vm.isolate_count())
-                .map(|i| accounts.cpu_exact(report.id, IsolateId(i as u16)))
-                .collect(),
-        });
-    }
-    (observed, outcome.metrics)
-}
-
-/// Runs a scenario under the oracle and every worker count, asserting
-/// bit-identical observations, and returns the oracle's observations
-/// plus its (traced) metrics for schedule-*independent* assertions.
-fn assert_modes_agree(
-    specs: &[UnitSpec],
-    quantum: u32,
-    slice: u64,
-    quota: Option<(u32, u64)>,
-    kills: &[(usize, IsolateId, u64)],
-) -> (Vec<Observed>, ClusterMetrics) {
-    let (oracle, metrics) = run_scenario(
-        specs,
-        SchedulerKind::Deterministic,
-        quantum,
-        slice,
-        quota,
-        true,
-        kills,
-    );
-    for (u, o) in oracle.iter().enumerate() {
-        assert_eq!(
-            o.aggregate_cpu, o.cpu_exact,
-            "unit {u}: cluster aggregate diverged from in-VM exact CPU"
-        );
-    }
-    for workers in [1usize, 2, 4] {
-        let (parallel, _) = run_scenario(
-            specs,
-            SchedulerKind::Parallel(workers),
-            quantum,
-            slice,
-            quota,
-            false,
-            kills,
-        );
-        assert_eq!(
-            oracle, parallel,
-            "Parallel({workers}) diverged from the deterministic oracle"
-        );
-    }
-    (oracle, metrics.expect("oracle ran with tracing on"))
-}
-
-fn echo_server() -> UnitSpec {
-    UnitSpec {
-        src: r#"
-            class Echo {
-                int handle(int x) { return x * 3 + 7; }
-            }
-            class Boot {
-                static int start(int n) {
-                    Service.export("echo", new Echo());
-                    return n;
-                }
-            }
-        "#
-        .to_owned(),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    }
-}
 
 /// The headline acceptance scenario: one green thread pipelines 64
 /// in-flight `Service.post` calls before touching a single result, then
@@ -220,47 +28,50 @@ fn echo_server() -> UnitSpec {
 /// single mailbox drain observed all 64 at one quantum boundary).
 #[test]
 fn pipelines_64_posts_from_one_thread_across_modes() {
-    let n = 64;
-    let client = UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    Future[] fs = new Future[n];
-                    for (int i = 0; i < n; i++) {
-                        fs[i] = Service.post("echo", i);
+    for lane in Lane::configs() {
+        let n = 64;
+        let client = UnitSpec {
+            src: r#"
+                class Client {
+                    static int drive(int n) {
+                        Future[] fs = new Future[n];
+                        for (int i = 0; i < n; i++) {
+                            fs[i] = Service.post("echo", i);
+                        }
+                        int acc = 0;
+                        for (int i = 0; i < n; i++) {
+                            acc += fs[i].get();
+                        }
+                        return acc;
                     }
-                    int acc = 0;
-                    for (int i = 0; i < n; i++) {
-                        acc += fs[i].get();
-                    }
-                    return acc;
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![n],
-    };
-    let specs = vec![client, echo_server()];
-    // A slice generous enough that the client issues all 64 posts in
-    // its first quantum, so they are simultaneously in flight.
-    let (oracle, metrics) = assert_modes_agree(&specs, 20_000, 40_000, None, &[]);
-    let expect: i64 = (0..n as i64).map(|i| i * 3 + 7).sum();
-    assert_eq!(
-        oracle[0].results[0],
-        Ok(Some(expect.to_string())),
-        "client harvested every pipelined reply"
-    );
-    assert_eq!(metrics.totals.posts_sent, n as u64);
-    assert_eq!(metrics.totals.futures_resolved, n as u64);
-    assert_eq!(metrics.totals.calls_served, n as u64);
-    assert!(
-        metrics.totals.mailbox_high_water >= n as u64,
-        "the server observed all {n} posts queued at one boundary \
-         (high water {})",
-        metrics.totals.mailbox_high_water
-    );
+            "#
+            .to_owned(),
+            entry: "Client",
+            method: "drive",
+            thread_args: vec![n],
+        };
+        let specs = vec![client, echo_server()];
+        // A slice generous enough that the client issues all 64 posts in
+        // its first quantum, so they are simultaneously in flight.
+        let run = assert_modes_agree(lane, &Scenario::new(&specs, 20_000, 40_000));
+        let (oracle, metrics) = (run.units, run.metrics.unwrap());
+        let expect: i64 = (0..n as i64).map(|i| i * 3 + 7).sum();
+        assert_eq!(
+            oracle[0].results[0],
+            Ok(Some(expect.to_string())),
+            "client harvested every pipelined reply"
+        );
+        assert_eq!(metrics.totals.posts_sent, n as u64, "{lane}");
+        assert_eq!(metrics.totals.futures_resolved, n as u64, "{lane}");
+        assert_eq!(metrics.totals.calls_served, n as u64, "{lane}");
+        assert!(
+            metrics.totals.mailbox_high_water >= n as u64,
+            "the server observed all {n} posts queued at one boundary \
+             (high water {})",
+            metrics.totals.mailbox_high_water
+        );
+    }
 }
 
 /// A future cancelled while its request is in flight: the cancel wins
@@ -269,40 +80,43 @@ fn pipelines_64_posts_from_one_thread_across_modes() {
 /// uncancelled post still resolves normally.
 #[test]
 fn future_cancelled_in_flight_across_modes() {
-    let client = UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    int acc = 0;
-                    Future a = Service.post("echo", 100);
-                    if (a.cancel()) acc += 1;      // wins: reply in flight
-                    if (a.isDone()) acc += 2;      // cancelled counts as done
-                    if (a.cancel()) acc += 4;      // second cancel loses
-                    try {
-                        acc += a.get();
-                    } catch (IllegalStateException e) {
-                        acc += 8;                  // get on cancelled throws
+    for lane in Lane::configs() {
+        let client = UnitSpec {
+            src: r#"
+                class Client {
+                    static int drive(int n) {
+                        int acc = 0;
+                        Future a = Service.post("echo", 100);
+                        if (a.cancel()) acc += 1;      // wins: reply in flight
+                        if (a.isDone()) acc += 2;      // cancelled counts as done
+                        if (a.cancel()) acc += 4;      // second cancel loses
+                        try {
+                            acc += a.get();
+                        } catch (IllegalStateException e) {
+                            acc += 8;                  // get on cancelled throws
+                        }
+                        Future b = Service.post("echo", n);
+                        acc += b.get() * 1000;
+                        return acc;
                     }
-                    Future b = Service.post("echo", n);
-                    acc += b.get() * 1000;
-                    return acc;
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![5],
-    };
-    let specs = vec![client, echo_server()];
-    let (oracle, metrics) = assert_modes_agree(&specs, 2_000, 4_000, None, &[]);
-    let expect = 1 + 2 + 8 + (5 * 3 + 7) * 1000;
-    assert_eq!(oracle[0].results[0], Ok(Some(expect.to_string())));
-    assert_eq!(metrics.totals.futures_cancelled, 1);
-    // The cancelled request was still served — its reply just found no
-    // pending future to resolve.
-    assert_eq!(metrics.totals.calls_served, 2);
-    assert_eq!(metrics.totals.futures_resolved, 1);
+            "#
+            .to_owned(),
+            entry: "Client",
+            method: "drive",
+            thread_args: vec![5],
+        };
+        let specs = vec![client, echo_server()];
+        let run = assert_modes_agree(lane, &Scenario::new(&specs, 2_000, 4_000));
+        let (oracle, metrics) = (run.units, run.metrics.unwrap());
+        let expect = 1 + 2 + 8 + (5 * 3 + 7) * 1000;
+        assert_eq!(oracle[0].results[0], Ok(Some(expect.to_string())), "{lane}");
+        assert_eq!(metrics.totals.futures_cancelled, 1, "{lane}");
+        // The cancelled request was still served — its reply just found no
+        // pending future to resolve.
+        assert_eq!(metrics.totals.calls_served, 2, "{lane}");
+        assert_eq!(metrics.totals.futures_resolved, 1, "{lane}");
+    }
 }
 
 /// Floods `messages` oneways at "sink" — after a blocking handshake
@@ -338,65 +152,74 @@ fn oneway_flooder(messages: i32) -> UnitSpec {
 /// schedule-dependent.
 #[test]
 fn oneway_flood_bounded_by_quota_across_modes() {
-    let n = 96;
-    let quota = 4u32;
-    let sink = UnitSpec {
-        src: r#"
-            class Sink {
-                static int served;
-                int handle(int x) {
-                    if (x < 0) return 0;                    // handshake
-                    int w = 0;
-                    for (int i = 0; i < 200; i++) w += i;   // slow pump
-                    Sink.served += 1;
-                    if (Sink.served % 32 == 0) println("served " + Sink.served);
-                    return w;
+    for lane in Lane::configs() {
+        let n = 96;
+        let quota = 4u32;
+        let sink = UnitSpec {
+            src: r#"
+                class Sink {
+                    static int served;
+                    int handle(int x) {
+                        if (x < 0) return 0;                    // handshake
+                        int w = 0;
+                        for (int i = 0; i < 200; i++) w += i;   // slow pump
+                        Sink.served += 1;
+                        if (Sink.served % 32 == 0) println("served " + Sink.served);
+                        return w;
+                    }
                 }
-            }
-            class Boot {
-                static int start(int n) {
-                    Service.export("sink", new Sink());
-                    return n;
+                class Boot {
+                    static int start(int n) {
+                        Service.export("sink", new Sink());
+                        return n;
+                    }
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    };
-    let specs = vec![oneway_flooder(n), sink];
-    let (oracle, metrics) = assert_modes_agree(&specs, 2_000, 4_000, Some((quota, 1 << 20)), &[]);
-    assert_eq!(oracle[0].results[0], Ok(Some(n.to_string())));
-    assert_eq!(
-        oracle[1].console,
-        vec!["served 32", "served 64", "served 96"],
-        "every flooded message was eventually served, in order"
-    );
-    assert_eq!(metrics.totals.oneways_sent, n as u64);
-    assert!(
-        metrics.totals.quota_parks > 0,
-        "the flooder must have been parked by flow control"
-    );
-    assert_eq!(
-        metrics.totals.quota_parks, metrics.totals.quota_unparks,
-        "every park was eventually released by the drain path"
-    );
-    assert!(
-        metrics.totals.mailbox_high_water <= quota as u64,
-        "the victim's mailbox stayed bounded by its quota \
-         (high water {}, quota {quota})",
-        metrics.totals.mailbox_high_water
-    );
-    // Sender-pays held while parked: the flooder's exact CPU includes
-    // one serialize charge per message (an int payload is 5 wire bytes).
-    if isolation_lane() == IsolationMode::Isolated {
-        let per_msg = ijvm_core::port::MSG_BASE_COST + 5;
-        let flooder = &oracle[0];
-        assert!(
-            flooder.cpu_exact[0] >= n as u64 * per_msg,
-            "flooder paid for every payload copy"
+            "#
+            .to_owned(),
+            entry: "Boot",
+            method: "start",
+            thread_args: vec![1],
+        };
+        let specs = vec![oneway_flooder(n), sink];
+        let run = assert_modes_agree(
+            lane,
+            &Scenario {
+                quota: Some((quota, 1 << 20)),
+                ..Scenario::new(&specs, 2_000, 4_000)
+            },
         );
+        let (oracle, metrics) = (run.units, run.metrics.unwrap());
+        assert_eq!(oracle[0].results[0], Ok(Some(n.to_string())), "{lane}");
+        assert_eq!(
+            oracle[1].console,
+            vec!["served 32", "served 64", "served 96"],
+            "every flooded message was eventually served, in order"
+        );
+        assert_eq!(metrics.totals.oneways_sent, n as u64, "{lane}");
+        assert!(
+            metrics.totals.quota_parks > 0,
+            "the flooder must have been parked by flow control"
+        );
+        assert_eq!(
+            metrics.totals.quota_parks, metrics.totals.quota_unparks,
+            "every park was eventually released by the drain path"
+        );
+        assert!(
+            metrics.totals.mailbox_high_water <= quota as u64,
+            "the victim's mailbox stayed bounded by its quota \
+             (high water {}, quota {quota})",
+            metrics.totals.mailbox_high_water
+        );
+        // Sender-pays held while parked: the flooder's exact CPU includes
+        // one serialize charge per message (an int payload is 5 wire bytes).
+        if lane.isolation == IsolationMode::Isolated {
+            let per_msg = ijvm_core::port::MSG_BASE_COST + 5;
+            let flooder = &oracle[0];
+            assert!(
+                flooder.cpu_exact[0] >= n as u64 * per_msg,
+                "flooder paid for every payload copy"
+            );
+        }
     }
 }
 
@@ -428,14 +251,23 @@ fn blocked_sink() -> UnitSpec {
 
 #[test]
 fn quiescence_with_quota_parked_sender_across_modes() {
-    let specs = vec![oneway_flooder(64), blocked_sink()];
-    let (oracle, metrics) = assert_modes_agree(&specs, 2_000, 4_000, Some((4, 1 << 20)), &[]);
-    // The flooder is still mid-flood, parked on quota; the sink's pump
-    // is blocked on an export that never happens. Wrap-up finishes both
-    // with their blocked outcomes instead of hanging.
-    assert_eq!(oracle[0].outcome, RunOutcome::Blocked);
-    assert_eq!(oracle[1].outcome, RunOutcome::Blocked);
-    assert!(metrics.totals.quota_parks > 0);
+    for lane in Lane::configs() {
+        let specs = vec![oneway_flooder(64), blocked_sink()];
+        let run = assert_modes_agree(
+            lane,
+            &Scenario {
+                quota: Some((4, 1 << 20)),
+                ..Scenario::new(&specs, 2_000, 4_000)
+            },
+        );
+        let (oracle, metrics) = (run.units, run.metrics.unwrap());
+        // The flooder is still mid-flood, parked on quota; the sink's pump
+        // is blocked on an export that never happens. Wrap-up finishes both
+        // with their blocked outcomes instead of hanging.
+        assert_eq!(oracle[0].outcome, RunOutcome::Blocked, "{lane}");
+        assert_eq!(oracle[1].outcome, RunOutcome::Blocked, "{lane}");
+        assert!(metrics.totals.quota_parks > 0, "{lane}");
+    }
 }
 
 /// Quota exhaustion with a parked sender that is then terminated: the
@@ -444,35 +276,35 @@ fn quiescence_with_quota_parked_sender_across_modes() {
 /// the flooder's unit finishes while the victim stays blocked.
 #[test]
 fn quota_parked_sender_terminated_across_modes() {
-    if isolation_lane() == IsolationMode::Shared {
-        return; // no isolate termination in the shared lane
+    for lane in isolated(Lane::configs()) {
+        let specs = vec![oneway_flooder(64), blocked_sink()];
+        // Aim the kill at the vclock where the flooder quota-parks for good,
+        // measured from a kill-free oracle run. It reaches that vclock only
+        // at the parked fixpoint, which is the same in every mode.
+        let quota = Some((4, 1 << 20));
+        let settled = Scenario {
+            quota,
+            ..Scenario::new(&specs, 2_000, 4_000)
+        };
+        let settled = run_scenario(lane, &settled, SchedulerKind::Deterministic);
+        let kills = [(0usize, IsolateId(0), settled.units[0].vclock)];
+        let scenario = Scenario {
+            quota,
+            kills: &kills,
+            ..Scenario::new(&specs, 2_000, 4_000)
+        };
+        let oracle = assert_modes_agree(lane, &scenario).units;
+        assert!(
+            oracle[0].results[0].is_err(),
+            "the flooder thread died with its isolate: {:?}",
+            oracle[0].results[0]
+        );
+        assert_eq!(
+            oracle[1].outcome,
+            RunOutcome::Blocked,
+            "victim still blocked"
+        );
     }
-    let specs = vec![oneway_flooder(64), blocked_sink()];
-    // Aim the kill at the vclock where the flooder quota-parks for good,
-    // measured from a kill-free oracle run. It reaches that vclock only
-    // at the parked fixpoint, which is the same in every mode.
-    let quota = Some((4, 1 << 20));
-    let (settled, _) = run_scenario(
-        &specs,
-        SchedulerKind::Deterministic,
-        2_000,
-        4_000,
-        quota,
-        false,
-        &[],
-    );
-    let kills = [(0usize, IsolateId(0), settled[0].vclock)];
-    let (oracle, _) = assert_modes_agree(&specs, 2_000, 4_000, quota, &kills);
-    assert!(
-        oracle[0].results[0].is_err(),
-        "the flooder thread died with its isolate: {:?}",
-        oracle[0].results[0]
-    );
-    assert_eq!(
-        oracle[1].outcome,
-        RunOutcome::Blocked,
-        "victim still blocked"
-    );
 }
 
 /// A sharded pipelining client for the downsized saturation lane:
@@ -537,35 +369,44 @@ fn sat_server(shard: usize) -> UnitSpec {
 /// fixpoint: same sums, same vclocks, same exact sender-pays CPU.
 #[test]
 fn downsized_saturation_lane_across_modes() {
-    let servers = 2usize;
-    let clients = 6usize;
-    let windows = 3;
-    let mut specs: Vec<UnitSpec> = (0..servers).map(sat_server).collect();
-    specs.extend((0..clients).map(|c| sat_client(c % servers, windows)));
-    let (oracle, metrics) = assert_modes_agree(&specs, 5_000, 10_000, Some((4, 1 << 20)), &[]);
-    // Each window echoes back 1..=16: per client, windows × 136.
-    let expect = (windows as i64) * (1..=16).sum::<i64>();
-    for c in 0..clients {
+    for lane in Lane::configs() {
+        let servers = 2usize;
+        let clients = 6usize;
+        let windows = 3;
+        let mut specs: Vec<UnitSpec> = (0..servers).map(sat_server).collect();
+        specs.extend((0..clients).map(|c| sat_client(c % servers, windows)));
+        let run = assert_modes_agree(
+            lane,
+            &Scenario {
+                quota: Some((4, 1 << 20)),
+                ..Scenario::new(&specs, 5_000, 10_000)
+            },
+        );
+        let (oracle, metrics) = (run.units, run.metrics.unwrap());
+        // Each window echoes back 1..=16: per client, windows × 136.
+        let expect = (windows as i64) * (1..=16).sum::<i64>();
+        for c in 0..clients {
+            assert_eq!(
+                oracle[servers + c].results[0],
+                Ok(Some(expect.to_string())),
+                "client {c} harvested every windowed reply"
+            );
+        }
+        let messages = (clients as u64) * (windows as u64) * 16;
+        assert_eq!(metrics.totals.posts_sent, messages, "{lane}");
+        assert_eq!(metrics.totals.futures_resolved, messages, "{lane}");
         assert_eq!(
-            oracle[servers + c].results[0],
-            Ok(Some(expect.to_string())),
-            "client {c} harvested every windowed reply"
+            metrics.totals.calls_served,
+            messages + clients as u64,
+            "every post plus one handshake call per client was served"
+        );
+        assert!(
+            metrics.totals.quota_parks > 0,
+            "the offered load exceeded the quota, so senders parked"
+        );
+        assert!(
+            metrics.totals.call_latency.count() >= messages,
+            "the flight recorder timed every round trip"
         );
     }
-    let messages = (clients as u64) * (windows as u64) * 16;
-    assert_eq!(metrics.totals.posts_sent, messages);
-    assert_eq!(metrics.totals.futures_resolved, messages);
-    assert_eq!(
-        metrics.totals.calls_served,
-        messages + clients as u64,
-        "every post plus one handshake call per client was served"
-    );
-    assert!(
-        metrics.totals.quota_parks > 0,
-        "the offered load exceeded the quota, so senders parked"
-    );
-    assert!(
-        metrics.totals.call_latency.count() >= messages,
-        "the flight recorder timed every round trip"
-    );
 }

@@ -9,224 +9,21 @@
 //! schedule is forced by data dependence and the cross-mode comparison
 //! is exact.
 //!
-//! The engine under test crosses with the CI differential matrix:
-//! `IJVM_DIFF_ENGINE` selects the engine/fusion lane (same values as
-//! `engine_differential.rs`) and `IJVM_DIFF_ISOLATION` the isolation
-//! mode, so every engine lane also exercises messaging.
+//! Every test runs in every VM configuration of the lane table
+//! (`tests/common`, [`Lane::configs`]), except the random ping-pong
+//! proptest, which is heavy and runs the lanes listed for
+//! [`Heavy::PingPong`].
 
-use ijvm_core::engine::EngineKind;
+mod common;
+
+use common::{
+    assert_modes_agree, echo_server, isolated, pinging_client, run_scenario, Heavy, Lane, Scenario,
+    UnitSpec,
+};
 use ijvm_core::port::MSG_BASE_COST;
 use ijvm_core::prelude::*;
-use ijvm_core::sched::UnitHandle;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use proptest::prelude::*;
-
-/// Engine/fusion lane selected by `IJVM_DIFF_ENGINE` (the cluster is
-/// always involved here, so the `parallel*` lanes map to their engines).
-fn engine_lane() -> (EngineKind, bool) {
-    match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("threaded") | Ok("parallel") => (EngineKind::Threaded, true),
-        Ok("threaded-nofuse") | Ok("parallel-nofuse") => (EngineKind::Threaded, false),
-        Ok("raw") => (EngineKind::Raw, true),
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ENGINE {other:?}"),
-        _ => (EngineKind::Threaded, true),
-    }
-}
-
-/// Isolation lane selected by `IJVM_DIFF_ISOLATION` (default isolated;
-/// messaging works in both modes, accounting only exists in isolated).
-fn isolation_lane() -> IsolationMode {
-    match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
-        Ok("shared") => IsolationMode::Shared,
-        Ok("isolated") => IsolationMode::Isolated,
-        Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ISOLATION {other:?}"),
-        _ => IsolationMode::Isolated,
-    }
-}
-
-fn lane_options(quantum: u32) -> VmOptions {
-    let (engine, fuse) = engine_lane();
-    let mut options = match isolation_lane() {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(engine)
-    .with_superinstructions(fuse);
-    options.quantum = quantum;
-    options
-}
-
-/// One unit of a messaging scenario.
-struct UnitSpec {
-    src: String,
-    entry: &'static str,
-    method: &'static str,
-    /// One entry thread per element, each with this `(I)I` argument.
-    thread_args: Vec<i32>,
-}
-
-fn build_vm(spec: &UnitSpec, quantum: u32) -> (Vm, Vec<ThreadId>) {
-    let mut vm = ijvm_jsl::boot(lane_options(quantum));
-    let iso = vm.create_isolate("unit");
-    let loader = vm.loader_of(iso).unwrap();
-    for (name, bytes) in compile_to_bytes(&spec.src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(loader, &name, bytes);
-    }
-    let class = vm.load_class(loader, spec.entry).unwrap();
-    let index = vm.class(class).find_method(spec.method, "(I)I").unwrap();
-    let mref = MethodRef { class, index };
-    let tids = spec
-        .thread_args
-        .iter()
-        .map(|&n| {
-            vm.spawn_thread("entry", mref, vec![Value::Int(n)], iso)
-                .unwrap()
-        })
-        .collect();
-    (vm, tids)
-}
-
-/// Everything compared across scheduler modes for one finished unit.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    results: Vec<Result<Option<String>, String>>,
-    outcome: RunOutcome,
-    vclock: u64,
-    console: Vec<String>,
-    cpu_exact: Vec<u64>,
-    cpu_sampled: Vec<u64>,
-    allocated_objects: Vec<u64>,
-    /// Cluster-aggregate exact CPU per isolate — must equal `cpu_exact`.
-    aggregate_cpu: Vec<u64>,
-}
-
-/// Runs a scenario under `kind`, optionally filing deterministic
-/// mid-run kills (`(unit index, isolate, unit vclock)`), and observes
-/// every unit.
-fn run_scenario(
-    specs: &[UnitSpec],
-    kind: SchedulerKind,
-    quantum: u32,
-    slice: u64,
-    kills: &[(usize, IsolateId, u64)],
-) -> Vec<Observed> {
-    let mut cluster = Cluster::builder().scheduler(kind).slice(slice).build();
-    let mut handles: Vec<UnitHandle> = Vec::new();
-    let mut tids = Vec::new();
-    for spec in specs {
-        let (vm, unit_tids) = build_vm(spec, quantum);
-        handles.push(cluster.submit(vm));
-        tids.push(unit_tids);
-    }
-    for &(u, iso, at_vclock) in kills {
-        handles[u].terminate_at(iso, at_vclock);
-    }
-    let mut outcome = cluster.run();
-    assert_eq!(outcome.units.len(), specs.len(), "every unit must finish");
-    let accounts = &outcome.accounts;
-    let mut observed = Vec::new();
-    for (u, unit_outcome) in outcome.units.iter_mut().enumerate() {
-        let report = unit_outcome.report;
-        let vm = &mut unit_outcome.vm;
-        assert_eq!(report.id.index() as usize, u, "units indexed by UnitId");
-        let snaps = vm.metrics().isolates;
-        observed.push(Observed {
-            results: tids[u]
-                .iter()
-                .map(|&tid| {
-                    vm.thread_outcome(tid)
-                        .map(|v| v.map(|v| v.to_string()))
-                        .map_err(|e| e.to_string())
-                })
-                .collect(),
-            outcome: report.outcome,
-            vclock: vm.vclock(),
-            console: vm.take_console(),
-            cpu_exact: snaps.iter().map(|s| s.stats.cpu_exact).collect(),
-            cpu_sampled: snaps.iter().map(|s| s.stats.cpu_sampled).collect(),
-            allocated_objects: snaps.iter().map(|s| s.stats.allocated_objects).collect(),
-            aggregate_cpu: (0..vm.isolate_count())
-                .map(|i| accounts.cpu_exact(report.id, IsolateId(i as u16)))
-                .collect(),
-        });
-    }
-    observed
-}
-
-/// Runs a scenario under the deterministic oracle and every worker
-/// count, asserting bit-identical observations (and aggregate == in-VM
-/// exact CPU in the oracle).
-fn assert_modes_agree(
-    specs: &[UnitSpec],
-    quantum: u32,
-    slice: u64,
-    kills: &[(usize, IsolateId, u64)],
-) -> Vec<Observed> {
-    let oracle = run_scenario(specs, SchedulerKind::Deterministic, quantum, slice, kills);
-    for (u, o) in oracle.iter().enumerate() {
-        assert_eq!(
-            o.aggregate_cpu, o.cpu_exact,
-            "unit {u}: cluster aggregate diverged from in-VM exact CPU"
-        );
-    }
-    for workers in [1usize, 2, 4] {
-        let parallel = run_scenario(
-            specs,
-            SchedulerKind::Parallel(workers),
-            quantum,
-            slice,
-            kills,
-        );
-        assert_eq!(
-            oracle, parallel,
-            "Parallel({workers}) diverged from the deterministic oracle"
-        );
-    }
-    oracle
-}
-
-fn echo_server(n_marker: &str) -> UnitSpec {
-    UnitSpec {
-        src: format!(
-            r#"
-            class Echo {{
-                int handle(int x) {{ return x * 3 + 7; }}
-            }}
-            class Boot {{
-                static int start(int n) {{
-                    Service.export("echo", new Echo());
-                    println("{n_marker}");
-                    return n;
-                }}
-            }}
-            "#
-        ),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    }
-}
-
-fn pinging_client(calls: i32) -> UnitSpec {
-    UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    int acc = 0;
-                    for (int i = 0; i < n; i++) {
-                        acc += Service.call("echo", i);
-                        if (i % 16 == 0) println("ping " + i);
-                    }
-                    return acc;
-                }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![calls],
-    }
-}
 
 /// Two-unit int ping-pong: the client (submitted *first*, so its opening
 /// call exercises the waiting-for-export path) drives the server's
@@ -234,36 +31,38 @@ fn pinging_client(calls: i32) -> UnitSpec {
 /// with the sender-pays copy charges — are bit-identical across modes.
 #[test]
 fn int_ping_pong_matches_across_modes() {
-    let calls = 48;
-    let specs = vec![pinging_client(calls), echo_server("echo up")];
-    let oracle = assert_modes_agree(&specs, 300, 600, &[]);
-    let expect: i64 = (0..calls as i64).map(|i| i * 3 + 7).sum();
-    assert_eq!(
-        oracle[0].results[0],
-        Ok(Some(expect.to_string())),
-        "client computed through the service"
-    );
-    assert_eq!(oracle[1].outcome, RunOutcome::Idle);
-    assert!(oracle[1].console.contains(&"echo up".to_owned()));
+    for lane in Lane::configs() {
+        let calls = 48;
+        let specs = vec![pinging_client(calls), echo_server()];
+        let oracle = assert_modes_agree(lane, &Scenario::new(&specs, 300, 600)).units;
+        let expect: i64 = (0..calls as i64).map(|i| i * 3 + 7).sum();
+        assert_eq!(
+            oracle[0].results[0],
+            Ok(Some(expect.to_string())),
+            "client computed through the service"
+        );
+        assert_eq!(oracle[1].outcome, RunOutcome::Idle, "{lane}");
+        assert!(oracle[1].console.contains(&"echo up".to_owned()), "{lane}");
 
-    // Sender-pays: in isolated mode the client's exact CPU exceeds its
-    // sampled (purely interpreted) CPU by exactly one request charge per
-    // call, and the server's by exactly one reply charge per call
-    // (an int payload is 5 wire bytes).
-    if isolation_lane() == IsolationMode::Isolated {
-        let per_msg = MSG_BASE_COST + 5;
-        let client = &oracle[0];
-        assert_eq!(
-            client.cpu_exact[0] - client.cpu_sampled[0],
-            calls as u64 * per_msg,
-            "client pays for its request copies"
-        );
-        let server = &oracle[1];
-        assert_eq!(
-            server.cpu_exact[0] - server.cpu_sampled[0],
-            calls as u64 * per_msg,
-            "server pays for its reply copies"
-        );
+        // Sender-pays: in isolated mode the client's exact CPU exceeds its
+        // sampled (purely interpreted) CPU by exactly one request charge per
+        // call, and the server's by exactly one reply charge per call
+        // (an int payload is 5 wire bytes).
+        if lane.isolation == IsolationMode::Isolated {
+            let per_msg = MSG_BASE_COST + 5;
+            let client = &oracle[0];
+            assert_eq!(
+                client.cpu_exact[0] - client.cpu_sampled[0],
+                calls as u64 * per_msg,
+                "client pays for its request copies"
+            );
+            let server = &oracle[1];
+            assert_eq!(
+                server.cpu_exact[0] - server.cpu_sampled[0],
+                calls as u64 * per_msg,
+                "server pays for its reply copies"
+            );
+        }
     }
 }
 
@@ -272,60 +71,62 @@ fn int_ping_pong_matches_across_modes() {
 /// resolved by name at the receiver.
 #[test]
 fn object_graph_round_trip_matches_across_modes() {
-    let server = UnitSpec {
-        src: r#"
-            class Pair { Pair other; int v; }
-            class Reverse {
-                Object handle(Object o) {
-                    Pair p = (Pair) o;
-                    Pair q = new Pair();
-                    q.v = p.v + p.other.v * 10;
-                    q.other = q;
-                    return q;
-                }
-            }
-            class Boot {
-                static int start(int n) {
-                    Service.export("rev", new Reverse());
-                    return n;
-                }
-            }
-        "#
-        .to_owned(),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    };
-    let client = UnitSpec {
-        src: r#"
-            class Pair { Pair other; int v; }
-            class Client {
-                static int drive(int n) {
-                    int acc = 0;
-                    for (int i = 0; i < n; i++) {
-                        Pair a = new Pair();
-                        Pair b = new Pair();
-                        a.v = i;
-                        b.v = i + 1;
-                        a.other = b;
-                        b.other = a;
-                        Pair r = (Pair) Service.call("rev", a);
-                        acc += r.v;
-                        if (r.other == r) acc += 1;
+    for lane in Lane::configs() {
+        let server = UnitSpec {
+            src: r#"
+                class Pair { Pair other; int v; }
+                class Reverse {
+                    Object handle(Object o) {
+                        Pair p = (Pair) o;
+                        Pair q = new Pair();
+                        q.v = p.v + p.other.v * 10;
+                        q.other = q;
+                        return q;
                     }
-                    return acc;
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![12],
-    };
-    let oracle = assert_modes_agree(&[server, client], 250, 500, &[]);
-    // Each call returns v = i + (i+1)*10, cycle check adds 1.
-    let expect: i64 = (0..12i64).map(|i| i + (i + 1) * 10 + 1).sum();
-    assert_eq!(oracle[1].results[0], Ok(Some(expect.to_string())));
+                class Boot {
+                    static int start(int n) {
+                        Service.export("rev", new Reverse());
+                        return n;
+                    }
+                }
+            "#
+            .to_owned(),
+            entry: "Boot",
+            method: "start",
+            thread_args: vec![1],
+        };
+        let client = UnitSpec {
+            src: r#"
+                class Pair { Pair other; int v; }
+                class Client {
+                    static int drive(int n) {
+                        int acc = 0;
+                        for (int i = 0; i < n; i++) {
+                            Pair a = new Pair();
+                            Pair b = new Pair();
+                            a.v = i;
+                            b.v = i + 1;
+                            a.other = b;
+                            b.other = a;
+                            Pair r = (Pair) Service.call("rev", a);
+                            acc += r.v;
+                            if (r.other == r) acc += 1;
+                        }
+                        return acc;
+                    }
+                }
+            "#
+            .to_owned(),
+            entry: "Client",
+            method: "drive",
+            thread_args: vec![12],
+        };
+        let oracle = assert_modes_agree(lane, &Scenario::new(&[server, client], 250, 500)).units;
+        // Each call returns v = i + (i+1)*10, cycle check adds 1.
+        let expect: i64 = (0..12i64).map(|i| i + (i + 1) * 10 + 1).sum();
+        assert_eq!(oracle[1].results[0], Ok(Some(expect.to_string())), "{lane}");
+    }
 }
 
 /// One-way `Port.send` messages are delivered in order ahead of a
@@ -333,43 +134,45 @@ fn object_graph_round_trip_matches_across_modes() {
 /// FIFO end to end).
 #[test]
 fn oneway_sends_are_ordered_before_calls() {
-    let server = UnitSpec {
-        src: r#"
-            class Counter {
-                static int ticks;
-                int handle(int x) { ticks = ticks + x; return ticks; }
-            }
-            class Boot {
-                static int start(int n) {
-                    Service.export("tick", new Counter());
-                    return n;
+    for lane in Lane::configs() {
+        let server = UnitSpec {
+            src: r#"
+                class Counter {
+                    static int ticks;
+                    int handle(int x) { ticks = ticks + x; return ticks; }
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    };
-    let client = UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    for (int i = 0; i < n; i++) {
-                        Port.send("tick", 10);
+                class Boot {
+                    static int start(int n) {
+                        Service.export("tick", new Counter());
+                        return n;
                     }
-                    return Service.call("tick", 1);
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![7],
-    };
-    let oracle = assert_modes_agree(&[server, client], 300, 700, &[]);
-    // All 7 sends land before the call: 7*10 + 1.
-    assert_eq!(oracle[1].results[0], Ok(Some("71".to_owned())));
+            "#
+            .to_owned(),
+            entry: "Boot",
+            method: "start",
+            thread_args: vec![1],
+        };
+        let client = UnitSpec {
+            src: r#"
+                class Client {
+                    static int drive(int n) {
+                        for (int i = 0; i < n; i++) {
+                            Port.send("tick", 10);
+                        }
+                        return Service.call("tick", 1);
+                    }
+                }
+            "#
+            .to_owned(),
+            entry: "Client",
+            method: "drive",
+            thread_args: vec![7],
+        };
+        let oracle = assert_modes_agree(lane, &Scenario::new(&[server, client], 300, 700)).units;
+        // All 7 sends land before the call: 7*10 + 1.
+        assert_eq!(oracle[1].results[0], Ok(Some("71".to_owned())), "{lane}");
+    }
 }
 
 /// Three units: one client alternating between two servers — each
@@ -377,61 +180,64 @@ fn oneway_sends_are_ordered_before_calls() {
 /// forced while units genuinely interleave.
 #[test]
 fn three_unit_pipeline_matches_across_modes() {
-    let double = UnitSpec {
-        src: r#"
-            class D { int handle(int x) { return x * 2; } }
-            class Boot {
-                static int start(int n) {
-                    Service.export("double", new D());
-                    return n;
-                }
-            }
-        "#
-        .to_owned(),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    };
-    let inc = UnitSpec {
-        src: r#"
-            class I { int handle(int x) { return x + 1; } }
-            class Boot {
-                static int start(int n) {
-                    Service.export("inc", new I());
-                    return n;
-                }
-            }
-        "#
-        .to_owned(),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    };
-    let client = UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    int acc = 1;
-                    for (int i = 0; i < n; i++) {
-                        acc = Service.call("double", acc) % 65536;
-                        acc = Service.call("inc", acc);
+    for lane in Lane::configs() {
+        let double = UnitSpec {
+            src: r#"
+                class D { int handle(int x) { return x * 2; } }
+                class Boot {
+                    static int start(int n) {
+                        Service.export("double", new D());
+                        return n;
                     }
-                    return acc;
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![20],
-    };
-    let oracle = assert_modes_agree(&[client, double, inc], 200, 450, &[]);
-    let mut acc = 1i64;
-    for _ in 0..20 {
-        acc = (acc * 2) % 65536;
-        acc += 1;
+            "#
+            .to_owned(),
+            entry: "Boot",
+            method: "start",
+            thread_args: vec![1],
+        };
+        let inc = UnitSpec {
+            src: r#"
+                class I { int handle(int x) { return x + 1; } }
+                class Boot {
+                    static int start(int n) {
+                        Service.export("inc", new I());
+                        return n;
+                    }
+                }
+            "#
+            .to_owned(),
+            entry: "Boot",
+            method: "start",
+            thread_args: vec![1],
+        };
+        let client = UnitSpec {
+            src: r#"
+                class Client {
+                    static int drive(int n) {
+                        int acc = 1;
+                        for (int i = 0; i < n; i++) {
+                            acc = Service.call("double", acc) % 65536;
+                            acc = Service.call("inc", acc);
+                        }
+                        return acc;
+                    }
+                }
+            "#
+            .to_owned(),
+            entry: "Client",
+            method: "drive",
+            thread_args: vec![20],
+        };
+        let oracle =
+            assert_modes_agree(lane, &Scenario::new(&[client, double, inc], 200, 450)).units;
+        let mut acc = 1i64;
+        for _ in 0..20 {
+            acc = (acc * 2) % 65536;
+            acc += 1;
+        }
+        assert_eq!(oracle[0].results[0], Ok(Some(acc.to_string())), "{lane}");
     }
-    assert_eq!(oracle[0].results[0], Ok(Some(acc.to_string())));
 }
 
 /// Deterministic mid-call termination: the serving isolate is killed —
@@ -442,76 +248,82 @@ fn three_unit_pipeline_matches_across_modes() {
 /// modes. Skipped in the shared-isolation lane (no termination there).
 #[test]
 fn mid_call_termination_revokes_with_exact_cpu() {
-    if isolation_lane() == IsolationMode::Shared {
-        return;
-    }
-    let server = UnitSpec {
-        src: r#"
-            class Hog {
-                int handle(int x) {
-                    int acc = x;
-                    while (true) { acc = acc + 1; }
-                    return acc;
+    for lane in isolated(Lane::configs()) {
+        let server = UnitSpec {
+            src: r#"
+                class Hog {
+                    int handle(int x) {
+                        int acc = x;
+                        while (true) { acc = acc + 1; }
+                        return acc;
+                    }
                 }
-            }
-            class Boot {
-                static int start(int n) {
-                    Service.export("hog", new Hog());
-                    return n;
+                class Boot {
+                    static int start(int n) {
+                        Service.export("hog", new Hog());
+                        return n;
+                    }
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    };
-    let client = UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    return Service.call("hog", n);
+            "#
+            .to_owned(),
+            entry: "Boot",
+            method: "start",
+            thread_args: vec![1],
+        };
+        let client = UnitSpec {
+            src: r#"
+                class Client {
+                    static int drive(int n) {
+                        return Service.call("hog", n);
+                    }
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![5],
-    };
-    // The server's workload isolate is its first one. Its export takes
-    // about a dozen instructions; past that, its vclock advances only in
-    // the handler, which is compute-only once its request lands, so a
-    // kill aimed at 1800 lands on the same quantum boundary in every
-    // mode, after the handler has spun for at least two full slices.
-    let kills = [(0usize, IsolateId(0), 1_800u64)];
-    let oracle = assert_modes_agree(&[server, client], 300, 600, &kills);
+            "#
+            .to_owned(),
+            entry: "Client",
+            method: "drive",
+            thread_args: vec![5],
+        };
+        // The server's workload isolate is its first one. Its export takes
+        // about a dozen instructions; past that, its vclock advances only in
+        // the handler, which is compute-only once its request lands, so a
+        // kill aimed at 1800 lands on the same quantum boundary in every
+        // mode, after the handler has spun for at least two full slices.
+        let kills = [(0usize, IsolateId(0), 1_800u64)];
+        let oracle = assert_modes_agree(
+            lane,
+            &Scenario {
+                kills: &kills,
+                ..Scenario::new(&[server, client], 300, 600)
+            },
+        )
+        .units;
 
-    let server_obs = &oracle[0];
-    let client_obs = &oracle[1];
-    let err = client_obs.results[0].as_ref().unwrap_err();
-    assert!(
-        err.contains("ServiceRevokedException"),
-        "expected ServiceRevokedException at the caller, got {err}"
-    );
-    // The hog burned real slices before the kill, all charged exactly.
-    assert!(
-        server_obs.cpu_exact[0] > 1000,
-        "handler should have spun before the kill: {:?}",
-        server_obs.cpu_exact
-    );
-    // Sender-pays on the failed call: the client paid for its request
-    // copy; no reply payload was ever produced, so the server's exact
-    // CPU carries no copy charge at all.
-    assert_eq!(
-        client_obs.cpu_exact[0] - client_obs.cpu_sampled[0],
-        MSG_BASE_COST + 5,
-        "client still pays for the request copy of the failed call"
-    );
-    assert_eq!(
-        server_obs.cpu_exact[0], server_obs.cpu_sampled[0],
-        "a revoked call produces no reply copy to charge"
-    );
+        let server_obs = &oracle[0];
+        let client_obs = &oracle[1];
+        let err = client_obs.results[0].as_ref().unwrap_err();
+        assert!(
+            err.contains("ServiceRevokedException"),
+            "expected ServiceRevokedException at the caller, got {err}"
+        );
+        // The hog burned real slices before the kill, all charged exactly.
+        assert!(
+            server_obs.cpu_exact[0] > 1000,
+            "handler should have spun before the kill: {:?}",
+            server_obs.cpu_exact
+        );
+        // Sender-pays on the failed call: the client paid for its request
+        // copy; no reply payload was ever produced, so the server's exact
+        // CPU carries no copy charge at all.
+        assert_eq!(
+            client_obs.cpu_exact[0] - client_obs.cpu_sampled[0],
+            MSG_BASE_COST + 5,
+            "client still pays for the request copy of the failed call"
+        );
+        assert_eq!(
+            server_obs.cpu_exact[0], server_obs.cpu_sampled[0],
+            "a revoked call produces no reply copy to charge"
+        );
+    }
 }
 
 /// Revocation *before* the request is served fails the mailbox-resident
@@ -519,56 +331,56 @@ fn mid_call_termination_revokes_with_exact_cpu() {
 /// `ServiceRevokedException` and carry on.
 #[test]
 fn revoked_service_fails_pending_and_future_calls() {
-    if isolation_lane() == IsolationMode::Shared {
-        return;
-    }
-    let server = echo_server("echo up");
-    let client = UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    int acc = n;
-                    try {
-                        acc += Service.call("echo", 1);
-                    } catch (ServiceRevokedException e) {
-                        acc += 1000;
-                        println("revoked:pending");
+    for lane in isolated(Lane::configs()) {
+        let server = echo_server();
+        let client = UnitSpec {
+            src: r#"
+                class Client {
+                    static int drive(int n) {
+                        int acc = n;
+                        try {
+                            acc += Service.call("echo", 1);
+                        } catch (ServiceRevokedException e) {
+                            acc += 1000;
+                            println("revoked:pending");
+                        }
+                        try {
+                            acc += Service.call("echo", 2);
+                        } catch (ServiceRevokedException e) {
+                            acc += 2000;
+                            println("revoked:fresh");
+                        }
+                        return acc;
                     }
-                    try {
-                        acc += Service.call("echo", 2);
-                    } catch (ServiceRevokedException e) {
-                        acc += 2000;
-                        println("revoked:fresh");
-                    }
-                    return acc;
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![5],
-    };
-    // Kill the server's isolate at the vclock it reaches right after its
-    // export, where it sits blocked until mail arrives — measured by
-    // running the server alone. The client's first call is already in
-    // (or on its way to) the mailbox and is failed there; its second
-    // call fails fast at the hub.
-    let exported = run_scenario(
-        std::slice::from_ref(&server),
-        SchedulerKind::Deterministic,
-        300,
-        600,
-        &[],
-    )[0]
-    .vclock;
-    let kills = [(0usize, IsolateId(0), exported)];
-    let oracle = assert_modes_agree(&[server, client], 300, 600, &kills);
-    assert_eq!(oracle[1].results[0], Ok(Some("3005".to_owned())));
-    assert_eq!(
-        oracle[1].console,
-        vec!["revoked:pending".to_owned(), "revoked:fresh".to_owned()]
-    );
+            "#
+            .to_owned(),
+            entry: "Client",
+            method: "drive",
+            thread_args: vec![5],
+        };
+        // Kill the server's isolate at the vclock it reaches right after its
+        // export, where it sits blocked until mail arrives — measured by
+        // running the server alone. The client's first call is already in
+        // (or on its way to) the mailbox and is failed there; its second
+        // call fails fast at the hub.
+        let alone = Scenario::new(std::slice::from_ref(&server), 300, 600);
+        let exported = run_scenario(lane, &alone, SchedulerKind::Deterministic).units[0].vclock;
+        let kills = [(0usize, IsolateId(0), exported)];
+        let oracle = assert_modes_agree(
+            lane,
+            &Scenario {
+                kills: &kills,
+                ..Scenario::new(&[server, client], 300, 600)
+            },
+        )
+        .units;
+        assert_eq!(oracle[1].results[0], Ok(Some("3005".to_owned())), "{lane}");
+        assert_eq!(
+            oracle[1].console,
+            vec!["revoked:pending".to_owned(), "revoked:fresh".to_owned()]
+        );
+    }
 }
 
 /// `Service.callAt` addresses a specific unit even when several units
@@ -576,48 +388,58 @@ fn revoked_service_fails_pending_and_future_calls() {
 /// unit's own address.
 #[test]
 fn call_at_addresses_units() {
-    let shard = |bias: i32| UnitSpec {
-        src: format!(
-            r#"
-            class Shard {{
-                int handle(int x) {{ return x + {bias} + Service.unit() * 100; }}
-            }}
-            class Boot {{
-                static int start(int n) {{
-                    Service.export("shard", new Shard());
-                    return n;
+    for lane in Lane::configs() {
+        let shard = |bias: i32| UnitSpec {
+            src: format!(
+                r#"
+                class Shard {{
+                    int handle(int x) {{ return x + {bias} + Service.unit() * 100; }}
                 }}
-            }}
-            "#
-        ),
-        entry: "Boot",
-        method: "start",
-        thread_args: vec![1],
-    };
-    // The addressed calls come first: each waits for its own unit's
-    // export, so by the time the bare-name call resolves, *both* shards
-    // have exported and "lowest exporting unit" is schedule-independent
-    // (a bare-name call racing a still-pending export may resolve to a
-    // later unit — use callAt where that matters).
-    let client = UnitSpec {
-        src: r#"
-            class Client {
-                static int drive(int n) {
-                    int first = Service.callAt(0, "shard", n);
-                    int second = Service.callAt(1, "shard", n);
-                    int lowest = Service.call("shard", n);
-                    return lowest * 1000000 + first * 1000 + second;
+                class Boot {{
+                    static int start(int n) {{
+                        Service.export("shard", new Shard());
+                        return n;
+                    }}
+                }}
+                "#
+            ),
+            entry: "Boot",
+            method: "start",
+            thread_args: vec![1],
+        };
+        // The addressed calls come first: each waits for its own unit's
+        // export, so by the time the bare-name call resolves, *both* shards
+        // have exported and "lowest exporting unit" is schedule-independent
+        // (a bare-name call racing a still-pending export may resolve to a
+        // later unit — use callAt where that matters).
+        let client = UnitSpec {
+            src: r#"
+                class Client {
+                    static int drive(int n) {
+                        int first = Service.callAt(0, "shard", n);
+                        int second = Service.callAt(1, "shard", n);
+                        int lowest = Service.call("shard", n);
+                        return lowest * 1000000 + first * 1000 + second;
+                    }
                 }
-            }
-        "#
-        .to_owned(),
-        entry: "Client",
-        method: "drive",
-        thread_args: vec![3],
-    };
-    let oracle = assert_modes_agree(&[shard(10), shard(20), client], 300, 600, &[]);
-    // unit0: 3+10+0 = 13; unit1: 3+20+100 = 123; bare name → unit0.
-    assert_eq!(oracle[2].results[0], Ok(Some("13013123".to_owned())));
+            "#
+            .to_owned(),
+            entry: "Client",
+            method: "drive",
+            thread_args: vec![3],
+        };
+        let oracle = assert_modes_agree(
+            lane,
+            &Scenario::new(&[shard(10), shard(20), client], 300, 600),
+        )
+        .units;
+        // unit0: 3+10+0 = 13; unit1: 3+20+100 = 123; bare name → unit0.
+        assert_eq!(
+            oracle[2].results[0],
+            Ok(Some("13013123".to_owned())),
+            "{lane}"
+        );
+    }
 }
 
 /// Local (unattached) VMs still serve same-VM `Service.call`s — the
@@ -625,40 +447,42 @@ fn call_at_addresses_units() {
 /// charges across the two isolates.
 #[test]
 fn unattached_vm_serves_local_calls() {
-    let mut vm = ijvm_jsl::boot(lane_options(500));
-    let server_iso = vm.create_isolate("server");
-    let server_loader = vm.loader_of(server_iso).unwrap();
-    let server_src = r#"
-        class Echo { int handle(int x) { return x + 41; } }
-        class Boot {
-            static int start(int n) {
-                Service.export("echo", new Echo());
-                return n;
+    for lane in Lane::configs() {
+        let mut vm = ijvm_jsl::boot(lane.options(500));
+        let server_iso = vm.create_isolate("server");
+        let server_loader = vm.loader_of(server_iso).unwrap();
+        let server_src = r#"
+            class Echo { int handle(int x) { return x + 41; } }
+            class Boot {
+                static int start(int n) {
+                    Service.export("echo", new Echo());
+                    return n;
+                }
             }
+        "#;
+        for (name, bytes) in compile_to_bytes(server_src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(server_loader, &name, bytes);
         }
-    "#;
-    for (name, bytes) in compile_to_bytes(server_src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(server_loader, &name, bytes);
-    }
-    let boot = vm.load_class(server_loader, "Boot").unwrap();
-    vm.call_static_as(boot, "start", "(I)I", vec![Value::Int(0)], server_iso)
-        .unwrap();
+        let boot = vm.load_class(server_loader, "Boot").unwrap();
+        vm.call_static_as(boot, "start", "(I)I", vec![Value::Int(0)], server_iso)
+            .unwrap();
 
-    let client_iso = vm.create_isolate("client");
-    let client_loader = vm.loader_of(client_iso).unwrap();
-    let client_src = r#"
-        class Client {
-            static int drive(int n) { return Service.call("echo", n); }
+        let client_iso = vm.create_isolate("client");
+        let client_loader = vm.loader_of(client_iso).unwrap();
+        let client_src = r#"
+            class Client {
+                static int drive(int n) { return Service.call("echo", n); }
+            }
+        "#;
+        for (name, bytes) in compile_to_bytes(client_src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(client_loader, &name, bytes);
         }
-    "#;
-    for (name, bytes) in compile_to_bytes(client_src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(client_loader, &name, bytes);
+        let client = vm.load_class(client_loader, "Client").unwrap();
+        let out = vm
+            .call_static_as(client, "drive", "(I)I", vec![Value::Int(1)], client_iso)
+            .unwrap();
+        assert_eq!(out, Some(Value::Int(42)), "{lane}");
     }
-    let client = vm.load_class(client_loader, "Client").unwrap();
-    let out = vm
-        .call_static_as(client, "drive", "(I)I", vec![Value::Int(1)], client_iso)
-        .unwrap();
-    assert_eq!(out, Some(Value::Int(42)));
 }
 
 /// A `StoppedIsolateException` escaping a handler because it called
@@ -666,119 +490,123 @@ fn unattached_vm_serves_local_calls() {
 /// the service itself is not revoked and keeps serving.
 #[test]
 fn foreign_isolate_sie_fails_call_without_revoking_service() {
-    if isolation_lane() == IsolationMode::Shared {
-        return;
-    }
-    let mut vm = ijvm_jsl::boot(lane_options(500));
-    let victim_iso = vm.create_isolate("victim");
-    let victim_loader = vm.loader_of(victim_iso).unwrap();
-    let victim_src = r#"
-        class Bad { static int boom(int x) { return x + 100; } }
-    "#;
-    let victim_classes = compile_to_bytes(victim_src, &CompileEnv::new()).unwrap();
-    let mut cenv = CompileEnv::new();
-    for (name, bytes) in &victim_classes {
-        vm.add_class_bytes(victim_loader, name, bytes.clone());
-        let cf = ijvm_classfile::reader::read_class(bytes).unwrap();
-        cenv.import_class_file(&cf).unwrap();
-    }
+    for lane in isolated(Lane::configs()) {
+        let mut vm = ijvm_jsl::boot(lane.options(500));
+        let victim_iso = vm.create_isolate("victim");
+        let victim_loader = vm.loader_of(victim_iso).unwrap();
+        let victim_src = r#"
+            class Bad { static int boom(int x) { return x + 100; } }
+        "#;
+        let victim_classes = compile_to_bytes(victim_src, &CompileEnv::new()).unwrap();
+        let mut cenv = CompileEnv::new();
+        for (name, bytes) in &victim_classes {
+            vm.add_class_bytes(victim_loader, name, bytes.clone());
+            let cf = ijvm_classfile::reader::read_class(bytes).unwrap();
+            cenv.import_class_file(&cf).unwrap();
+        }
 
-    let server_iso = vm.create_isolate("server");
-    let server_loader = vm.loader_of(server_iso).unwrap();
-    vm.add_loader_delegate(server_loader, victim_loader);
-    let server_src = r#"
-        class Svc {
-            int handle(int x) {
-                if (x == 0) return Bad.boom(x);
-                return x + 5;
+        let server_iso = vm.create_isolate("server");
+        let server_loader = vm.loader_of(server_iso).unwrap();
+        vm.add_loader_delegate(server_loader, victim_loader);
+        let server_src = r#"
+            class Svc {
+                int handle(int x) {
+                    if (x == 0) return Bad.boom(x);
+                    return x + 5;
+                }
             }
-        }
-        class Boot {
-            static int start(int n) {
-                Service.export("svc", new Svc());
-                return n;
+            class Boot {
+                static int start(int n) {
+                    Service.export("svc", new Svc());
+                    return n;
+                }
             }
+        "#;
+        for (name, bytes) in compile_to_bytes(server_src, &cenv).unwrap() {
+            vm.add_class_bytes(server_loader, &name, bytes);
         }
-    "#;
-    for (name, bytes) in compile_to_bytes(server_src, &cenv).unwrap() {
-        vm.add_class_bytes(server_loader, &name, bytes);
-    }
-    let boot = vm.load_class(server_loader, "Boot").unwrap();
-    vm.call_static_as(boot, "start", "(I)I", vec![Value::Int(0)], server_iso)
-        .unwrap();
-    // Warm the poisoned path's class, then kill the victim isolate.
-    vm.terminate_isolate(victim_iso).unwrap();
+        let boot = vm.load_class(server_loader, "Boot").unwrap();
+        vm.call_static_as(boot, "start", "(I)I", vec![Value::Int(0)], server_iso)
+            .unwrap();
+        // Warm the poisoned path's class, then kill the victim isolate.
+        vm.terminate_isolate(victim_iso).unwrap();
 
-    let client_iso = vm.create_isolate("client");
-    let client_loader = vm.loader_of(client_iso).unwrap();
-    let client_src = r#"
-        class Client {
-            static int drive(int n) { return Service.call("svc", n); }
+        let client_iso = vm.create_isolate("client");
+        let client_loader = vm.loader_of(client_iso).unwrap();
+        let client_src = r#"
+            class Client {
+                static int drive(int n) { return Service.call("svc", n); }
+            }
+        "#;
+        for (name, bytes) in compile_to_bytes(client_src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(client_loader, &name, bytes);
         }
-    "#;
-    for (name, bytes) in compile_to_bytes(client_src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(client_loader, &name, bytes);
-    }
-    let client = vm.load_class(client_loader, "Client").unwrap();
+        let client = vm.load_class(client_loader, "Client").unwrap();
 
-    // The poisoned path fails that one call (handler failure, not a
-    // revocation)...
-    let err = vm
-        .call_static_as(client, "drive", "(I)I", vec![Value::Int(0)], client_iso)
-        .unwrap_err()
-        .to_string();
-    assert!(
-        err.contains("StoppedIsolateException") && !err.contains("ServiceRevoked"),
-        "expected a handler failure mentioning the foreign SIE, got {err}"
-    );
-    // ...and the service keeps serving.
-    let out = vm
-        .call_static_as(client, "drive", "(I)I", vec![Value::Int(7)], client_iso)
-        .unwrap();
-    assert_eq!(out, Some(Value::Int(12)), "service must survive");
+        // The poisoned path fails that one call (handler failure, not a
+        // revocation)...
+        let err = vm
+            .call_static_as(client, "drive", "(I)I", vec![Value::Int(0)], client_iso)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("StoppedIsolateException") && !err.contains("ServiceRevoked"),
+            "expected a handler failure mentioning the foreign SIE, got {err}"
+        );
+        // ...and the service keeps serving.
+        let out = vm
+            .call_static_as(client, "drive", "(I)I", vec![Value::Int(7)], client_iso)
+            .unwrap();
+        assert_eq!(out, Some(Value::Int(12)), "{lane}: service must survive");
+    }
 }
 
 /// `Vm::retract_service` + re-export replaces a service in place — the
 /// OSGi `registerService`-over-an-existing-name semantics.
 #[test]
 fn retract_and_reexport_replaces_service() {
-    let mut vm = ijvm_jsl::boot(lane_options(500));
-    let iso = vm.create_isolate("host");
-    let loader = vm.loader_of(iso).unwrap();
-    let src = r#"
-        class V1 { int handle(int x) { return x + 1; } }
-        class V2 { int handle(int x) { return x + 100; } }
-        class Boot {
-            static int mk(int which) {
-                if (which == 1) { Service.export("svc", new V1()); }
-                else { Service.export("svc", new V2()); }
-                return which;
+    for lane in Lane::configs() {
+        let mut vm = ijvm_jsl::boot(lane.options(500));
+        let iso = vm.create_isolate("host");
+        let loader = vm.loader_of(iso).unwrap();
+        let src = r#"
+            class V1 { int handle(int x) { return x + 1; } }
+            class V2 { int handle(int x) { return x + 100; } }
+            class Boot {
+                static int mk(int which) {
+                    if (which == 1) { Service.export("svc", new V1()); }
+                    else { Service.export("svc", new V2()); }
+                    return which;
+                }
             }
+            class Client {
+                static int drive(int n) { return Service.call("svc", n); }
+            }
+        "#;
+        for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(loader, &name, bytes);
         }
-        class Client {
-            static int drive(int n) { return Service.call("svc", n); }
-        }
-    "#;
-    for (name, bytes) in compile_to_bytes(src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(loader, &name, bytes);
-    }
-    let boot = vm.load_class(loader, "Boot").unwrap();
-    let client = vm.load_class(loader, "Client").unwrap();
-    vm.call_static_as(boot, "mk", "(I)I", vec![Value::Int(1)], iso)
-        .unwrap();
-    let out = vm
-        .call_static_as(client, "drive", "(I)I", vec![Value::Int(5)], iso)
-        .unwrap();
-    assert_eq!(out, Some(Value::Int(6)), "v1 serves");
+        let boot = vm.load_class(loader, "Boot").unwrap();
+        let client = vm.load_class(loader, "Client").unwrap();
+        vm.call_static_as(boot, "mk", "(I)I", vec![Value::Int(1)], iso)
+            .unwrap();
+        let out = vm
+            .call_static_as(client, "drive", "(I)I", vec![Value::Int(5)], iso)
+            .unwrap();
+        assert_eq!(out, Some(Value::Int(6)), "{lane}: v1 serves");
 
-    assert!(vm.retract_service("svc"), "service exists to retract");
-    assert!(!vm.retract_service("svc"), "already retracted");
-    vm.call_static_as(boot, "mk", "(I)I", vec![Value::Int(2)], iso)
-        .unwrap();
-    let out = vm
-        .call_static_as(client, "drive", "(I)I", vec![Value::Int(5)], iso)
-        .unwrap();
-    assert_eq!(out, Some(Value::Int(105)), "v2 replaced v1");
+        assert!(
+            vm.retract_service("svc"),
+            "{lane}: service exists to retract"
+        );
+        assert!(!vm.retract_service("svc"), "{lane}: already retracted");
+        vm.call_static_as(boot, "mk", "(I)I", vec![Value::Int(2)], iso)
+            .unwrap();
+        let out = vm
+            .call_static_as(client, "drive", "(I)I", vec![Value::Int(5)], iso)
+            .unwrap();
+        assert_eq!(out, Some(Value::Int(105)), "{lane}: v2 replaced v1");
+    }
 }
 
 proptest! {
@@ -858,12 +686,12 @@ proptest! {
             thread_args: vec![calls],
         };
         let specs = vec![server, client];
-        let oracle = run_scenario(&specs, SchedulerKind::Deterministic, quantum, slice, &[]);
-        for o in &oracle {
-            prop_assert_eq!(&o.aggregate_cpu, &o.cpu_exact);
+        let scenario = Scenario::new(&specs, quantum, slice);
+        for lane in Lane::heavy(Heavy::PingPong) {
+            let oracle = run_scenario(lane, &scenario, SchedulerKind::Deterministic).units;
+            prop_assert!(oracle[1].results[0].is_ok(), "{}: client failed: {:?}", lane, oracle[1].results);
+            let parallel = run_scenario(lane, &scenario, SchedulerKind::Parallel(workers)).units;
+            prop_assert_eq!(oracle, parallel, "{}", lane);
         }
-        prop_assert!(oracle[1].results[0].is_ok(), "client failed: {:?}", oracle[1].results);
-        let parallel = run_scenario(&specs, SchedulerKind::Parallel(workers), quantum, slice, &[]);
-        prop_assert_eq!(oracle, parallel);
     }
 }

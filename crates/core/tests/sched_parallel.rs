@@ -6,117 +6,38 @@
 //! inside each unit's VM and in the cluster-level aggregate that worker
 //! buffers drain into at migration points. Only which OS worker ran
 //! which slice may differ.
+//!
+//! Every test runs in every VM configuration of the lane table
+//! (`tests/common`, [`Lane::configs`]), or in its isolated ones where it
+//! kills an isolate or counts per-isolate CPU. The proptest is heavy and
+//! runs the lanes listed for [`Heavy::SchedSets`].
 
+mod common;
+
+use common::{
+    assert_modes_agree, build_vm, isolated, run_scenario, Heavy, Lane, Scenario, UnitSpec,
+};
 use ijvm_core::prelude::*;
 use ijvm_core::sched::Cluster;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use proptest::prelude::*;
 
-/// One prepared workload: class sources plus the entry threads to spawn.
-struct Program {
-    src: &'static str,
+/// A unit running `src`'s `entry.method(n)` on one thread per `n`.
+fn program(
+    src: &str,
     entry: &'static str,
     method: &'static str,
-    desc: &'static str,
-    /// One entry thread per element, each with this `(I)…` argument.
     thread_args: Vec<i32>,
-}
-
-/// Builds a ready-to-schedule VM unit (threads spawned, nothing run).
-fn build_unit(program: &Program, quantum: u32) -> (Vm, Vec<ThreadId>) {
-    let mut options = VmOptions::isolated();
-    options.quantum = quantum;
-    let mut vm = ijvm_jsl::boot(options);
-    let iso = vm.create_isolate("unit");
-    let loader = vm.loader_of(iso).unwrap();
-    for (name, bytes) in compile_to_bytes(program.src, &CompileEnv::new()).unwrap() {
-        vm.add_class_bytes(loader, &name, bytes);
+) -> UnitSpec {
+    UnitSpec {
+        src: src.to_owned(),
+        entry,
+        method,
+        thread_args,
     }
-    let class = vm.load_class(loader, program.entry).unwrap();
-    let index = vm
-        .class(class)
-        .find_method(program.method, program.desc)
-        .unwrap();
-    let mref = MethodRef { class, index };
-    let tids = program
-        .thread_args
-        .iter()
-        .map(|&n| {
-            vm.spawn_thread("entry", mref, vec![Value::Int(n)], iso)
-                .unwrap()
-        })
-        .collect();
-    (vm, tids)
 }
 
-/// Everything compared across scheduler modes for one finished unit.
-#[derive(Debug, PartialEq)]
-struct UnitObserved {
-    results: Vec<Result<Option<String>, String>>,
-    vclock: u64,
-    vm_migrations: u64,
-    console: Vec<String>,
-    cpu_exact: Vec<u64>,
-    cpu_sampled: Vec<u64>,
-    allocated_objects: Vec<u64>,
-    outcome: RunOutcome,
-    /// Cluster-aggregate exact CPU per isolate — must equal `cpu_exact`.
-    aggregate_cpu: Vec<u64>,
-}
-
-/// Runs `programs` under `kind` and observes every unit.
-fn run_set(
-    programs: &[Program],
-    kind: SchedulerKind,
-    quantum: u32,
-    slice: u64,
-) -> Vec<UnitObserved> {
-    let mut cluster = Cluster::builder().scheduler(kind).slice(slice).build();
-    let mut tids = Vec::new();
-    for p in programs {
-        let (vm, unit_tids) = build_unit(p, quantum);
-        cluster.submit(vm);
-        tids.push(unit_tids);
-    }
-    let mut outcome = cluster.run();
-    assert_eq!(
-        outcome.units.len(),
-        programs.len(),
-        "every unit must finish"
-    );
-    let accounts = &outcome.accounts;
-    let mut observed = Vec::new();
-    for (u, unit_outcome) in outcome.units.iter_mut().enumerate() {
-        let report = unit_outcome.report;
-        let vm = &mut unit_outcome.vm;
-        assert_eq!(report.id.index() as usize, u, "units are indexed by UnitId");
-        assert!(report.slices > 0, "unit {u} never ran");
-        let snaps = vm.metrics().isolates;
-        observed.push(UnitObserved {
-            results: tids[u]
-                .iter()
-                .map(|&tid| {
-                    vm.thread_outcome(tid)
-                        .map(|v| v.map(|v| v.to_string()))
-                        .map_err(|e| e.to_string())
-                })
-                .collect(),
-            vclock: vm.vclock(),
-            vm_migrations: vm.migrations(),
-            console: vm.take_console(),
-            cpu_exact: snaps.iter().map(|s| s.stats.cpu_exact).collect(),
-            cpu_sampled: snaps.iter().map(|s| s.stats.cpu_sampled).collect(),
-            allocated_objects: snaps.iter().map(|s| s.stats.allocated_objects).collect(),
-            outcome: report.outcome,
-            aggregate_cpu: (0..vm.isolate_count())
-                .map(|i| accounts.cpu_exact(report.id, IsolateId(i as u16)))
-                .collect(),
-        });
-    }
-    observed
-}
-
-fn fixed_program_set() -> Vec<Program> {
+fn fixed_program_set() -> Vec<UnitSpec> {
     let arith = r#"
         class Arith {
             static int spin(int n) {
@@ -158,43 +79,13 @@ fn fixed_program_set() -> Vec<Program> {
         }
     "#;
     vec![
-        Program {
-            src: arith,
-            entry: "Arith",
-            method: "spin",
-            desc: "(I)I",
-            thread_args: vec![4_000],
-        },
-        Program {
-            src: alloc_print,
-            entry: "AllocPrint",
-            method: "run",
-            desc: "(I)I",
-            thread_args: vec![400],
-        },
+        program(arith, "Arith", "spin", vec![4_000]),
+        program(alloc_print, "AllocPrint", "run", vec![400]),
         // Two green threads over one static: the unit-internal scheduler
         // interleaving must be reproduced wherever the unit runs.
-        Program {
-            src: interleave,
-            entry: "Shared",
-            method: "spin",
-            desc: "(I)I",
-            thread_args: vec![700, 700],
-        },
-        Program {
-            src: faulty,
-            entry: "Faulty",
-            method: "boom",
-            desc: "(I)I",
-            thread_args: vec![9],
-        },
-        Program {
-            src: arith,
-            entry: "Arith",
-            method: "spin",
-            desc: "(I)I",
-            thread_args: vec![1_500],
-        },
+        program(interleave, "Shared", "spin", vec![700, 700]),
+        program(faulty, "Faulty", "boom", vec![9]),
+        program(arith, "Arith", "spin", vec![1_500]),
     ]
 }
 
@@ -209,34 +100,22 @@ fn vm_units_are_send() {
 #[test]
 fn parallel_matches_deterministic_on_fixed_set() {
     let programs = fixed_program_set();
-    // Small quantum + slice: many slice boundaries, so units really do
-    // bounce between workers mid-run.
-    let oracle = run_set(&programs, SchedulerKind::Deterministic, 300, 600);
-
-    // The aggregate fed through worker buffers must equal the in-VM
-    // exact counters (nothing lost or double-charged at boundaries).
-    for (u, o) in oracle.iter().enumerate() {
-        assert_eq!(
-            o.aggregate_cpu, o.cpu_exact,
-            "unit {u}: cluster aggregate diverged from in-VM exact CPU"
-        );
-        assert_eq!(o.outcome, RunOutcome::Idle);
-    }
-    // The faulty unit's entry thread died with the expected exception.
-    assert!(
-        oracle[3].results[0]
-            .as_ref()
-            .unwrap_err()
-            .contains("ArithmeticException"),
-        "faulty unit: {:?}",
-        oracle[3].results
-    );
-
-    for workers in [2usize, 4] {
-        let parallel = run_set(&programs, SchedulerKind::Parallel(workers), 300, 600);
-        assert_eq!(
-            oracle, parallel,
-            "Parallel({workers}) diverged from the deterministic oracle"
+    for lane in Lane::configs() {
+        // Small quantum + slice: many slice boundaries, so units really
+        // do bounce between workers mid-run.
+        let run = assert_modes_agree(lane, &Scenario::new(&programs, 300, 600));
+        for (u, o) in run.units.iter().enumerate() {
+            assert_eq!(o.outcome, RunOutcome::Idle, "{lane}: unit {u}");
+            assert!(run.slices[u] > 0, "{lane}: unit {u} never ran");
+        }
+        // The faulty unit's entry thread died with the expected exception.
+        assert!(
+            run.units[3].results[0]
+                .as_ref()
+                .unwrap_err()
+                .contains("ArithmeticException"),
+            "{lane}: faulty unit: {:?}",
+            run.units[3].results
         );
     }
 }
@@ -246,93 +125,103 @@ fn parallel_matches_deterministic_on_fixed_set() {
 /// preserved by the cluster, and the aggregate must match per isolate.
 #[test]
 fn multi_isolate_unit_accounting_is_exact() {
-    let callee_src = r#"
-        class Svc {
-            static int work(int x) {
-                int acc = x;
-                for (int i = 0; i < 40; i++) { acc = acc * 17 + i; }
-                return acc % 65536;
+    for lane in isolated(Lane::configs()) {
+        let callee_src = r#"
+            class Svc {
+                static int work(int x) {
+                    int acc = x;
+                    for (int i = 0; i < 40; i++) { acc = acc * 17 + i; }
+                    return acc % 65536;
+                }
             }
-        }
-    "#;
-    let caller_src = r#"
-        class Caller {
-            static int drive(int n) {
-                int acc = 0;
-                for (int i = 0; i < n; i++) { acc += Svc.work(i) % 1024; }
-                return acc;
+        "#;
+        let caller_src = r#"
+            class Caller {
+                static int drive(int n) {
+                    int acc = 0;
+                    for (int i = 0; i < n; i++) { acc += Svc.work(i) % 1024; }
+                    return acc;
+                }
             }
-        }
-    "#;
-    let build = |quantum: u32| -> (Vm, ThreadId) {
-        let mut options = VmOptions::isolated();
-        options.quantum = quantum;
-        let mut vm = ijvm_jsl::boot(options);
-        let home = vm.create_isolate("home");
-        let home_loader = vm.loader_of(home).unwrap();
-        let callee = vm.create_isolate("callee");
-        let callee_loader = vm.loader_of(callee).unwrap();
-        let callee_classes = compile_to_bytes(callee_src, &CompileEnv::new()).unwrap();
-        let mut cenv = CompileEnv::new();
-        for (name, bytes) in &callee_classes {
-            vm.add_class_bytes(callee_loader, name, bytes.clone());
-            let cf = ijvm_classfile::reader::read_class(bytes).unwrap();
-            cenv.import_class_file(&cf).unwrap();
-        }
-        vm.add_loader_delegate(home_loader, callee_loader);
-        for (name, bytes) in compile_to_bytes(caller_src, &cenv).unwrap() {
-            vm.add_class_bytes(home_loader, &name, bytes);
-        }
-        let class = vm.load_class(home_loader, "Caller").unwrap();
-        let index = vm.class(class).find_method("drive", "(I)I").unwrap();
-        let mref = MethodRef { class, index };
-        let tid = vm
-            .spawn_thread("drive", mref, vec![Value::Int(250)], home)
-            .unwrap();
-        (vm, tid)
-    };
+        "#;
+        let build = |quantum: u32| -> (Vm, ThreadId) {
+            let mut vm = ijvm_jsl::boot(lane.options(quantum));
+            let home = vm.create_isolate("home");
+            let home_loader = vm.loader_of(home).unwrap();
+            let callee = vm.create_isolate("callee");
+            let callee_loader = vm.loader_of(callee).unwrap();
+            let callee_classes = compile_to_bytes(callee_src, &CompileEnv::new()).unwrap();
+            let mut cenv = CompileEnv::new();
+            for (name, bytes) in &callee_classes {
+                vm.add_class_bytes(callee_loader, name, bytes.clone());
+                let cf = ijvm_classfile::reader::read_class(bytes).unwrap();
+                cenv.import_class_file(&cf).unwrap();
+            }
+            vm.add_loader_delegate(home_loader, callee_loader);
+            for (name, bytes) in compile_to_bytes(caller_src, &cenv).unwrap() {
+                vm.add_class_bytes(home_loader, &name, bytes);
+            }
+            let class = vm.load_class(home_loader, "Caller").unwrap();
+            let index = vm.class(class).find_method("drive", "(I)I").unwrap();
+            let mref = MethodRef { class, index };
+            let tid = vm
+                .spawn_thread("drive", mref, vec![Value::Int(250)], home)
+                .unwrap();
+            (vm, tid)
+        };
 
-    // Plain in-VM oracle: no cluster at all.
-    let (mut plain, plain_tid) = build(200);
-    assert_eq!(plain.run(None), RunOutcome::Idle);
-    let plain_result = plain.thread_outcome(plain_tid).unwrap();
-    let plain_cpu: Vec<u64> = plain
-        .metrics()
-        .isolates
-        .iter()
-        .map(|s| s.stats.cpu_exact)
-        .collect();
-    assert!(plain.migrations() > 0, "workload must migrate isolates");
-
-    for kind in [
-        SchedulerKind::Deterministic,
-        SchedulerKind::Parallel(2),
-        SchedulerKind::Parallel(4),
-    ] {
-        let (vm, tid) = build(200);
-        let mut cluster = Cluster::builder().scheduler(kind).slice(350).build();
-        let unit = cluster.submit(vm);
-        let outcome = cluster.run();
-        let vm = &outcome.unit(&unit).vm;
-        assert_eq!(vm.thread_outcome(tid).unwrap(), plain_result, "{kind:?}");
-        let cpu: Vec<u64> = vm
+        // Plain in-VM oracle: no cluster at all.
+        let (mut plain, plain_tid) = build(200);
+        assert_eq!(plain.run(None), RunOutcome::Idle, "{lane}");
+        let plain_result = plain.thread_outcome(plain_tid).unwrap();
+        let plain_cpu: Vec<u64> = plain
             .metrics()
             .isolates
             .iter()
             .map(|s| s.stats.cpu_exact)
             .collect();
-        assert_eq!(cpu, plain_cpu, "{kind:?}: per-isolate exact CPU diverged");
-        for (i, &expect) in plain_cpu.iter().enumerate() {
+        assert!(
+            plain.migrations() > 0,
+            "{lane}: workload must migrate isolates"
+        );
+
+        for kind in [
+            SchedulerKind::Deterministic,
+            SchedulerKind::Parallel(2),
+            SchedulerKind::Parallel(4),
+        ] {
+            let (vm, tid) = build(200);
+            let mut cluster = Cluster::builder().scheduler(kind).slice(350).build();
+            let unit = cluster.submit(vm);
+            let outcome = cluster.run();
+            let vm = &outcome.unit(&unit).vm;
             assert_eq!(
-                outcome.accounts.cpu_exact(unit.id(), IsolateId(i as u16)),
-                expect,
-                "{kind:?}: aggregate for isolate {i} diverged"
+                vm.thread_outcome(tid).unwrap(),
+                plain_result,
+                "{lane}: {kind:?}"
+            );
+            let cpu: Vec<u64> = vm
+                .metrics()
+                .isolates
+                .iter()
+                .map(|s| s.stats.cpu_exact)
+                .collect();
+            assert_eq!(
+                cpu, plain_cpu,
+                "{lane}: {kind:?}: per-isolate exact CPU diverged"
+            );
+            for (i, &expect) in plain_cpu.iter().enumerate() {
+                assert_eq!(
+                    outcome.accounts.cpu_exact(unit.id(), IsolateId(i as u16)),
+                    expect,
+                    "{kind:?}: aggregate for isolate {i} diverged"
+                );
+            }
+            assert_eq!(
+                outcome.accounts.total_cpu_exact(),
+                plain_cpu.iter().sum::<u64>()
             );
         }
-        assert_eq!(
-            outcome.accounts.total_cpu_exact(),
-            plain_cpu.iter().sum::<u64>()
-        );
     }
 }
 
@@ -340,49 +229,54 @@ fn multi_isolate_unit_accounting_is_exact() {
 /// unit's first slice: the workload never executes a single instruction.
 #[test]
 fn pre_run_termination_is_delivered_before_first_slice() {
-    let program = Program {
-        src: r#"
-            class Loop {
-                static int spin(int n) {
-                    int acc = 0;
-                    while (true) { acc = acc + 1; }
-                    return acc;
+    for lane in isolated(Lane::configs()) {
+        let program = program(
+            r#"
+                class Loop {
+                    static int spin(int n) {
+                        int acc = 0;
+                        while (true) { acc = acc + 1; }
+                        return acc;
+                    }
                 }
-            }
-        "#,
-        entry: "Loop",
-        method: "spin",
-        desc: "(I)I",
-        thread_args: vec![1],
-    };
-    let (vm, tids) = build_unit(&program, 500);
-    let mut cluster = Cluster::builder()
-        .scheduler(SchedulerKind::Parallel(2))
-        .slice(500)
-        .build();
-    let unit = cluster.submit(vm);
-    // A single-isolate unit's workload isolate is the first one created
-    // (the system library lives on the bootstrap loader, not in an
-    // isolate of its own).
-    unit.terminate(IsolateId(0));
-    let outcome = cluster.run();
-    let vm = &outcome.unit(&unit).vm;
-    assert_eq!(outcome.unit(&unit).report.outcome, RunOutcome::Idle);
-    assert_ne!(
-        vm.isolate_state(IsolateId(0)).unwrap(),
-        IsolateState::Active,
-        "the isolate must be terminated"
-    );
-    let err = vm.thread_outcome(tids[0]).unwrap_err().to_string();
-    assert!(
-        err.contains("StoppedIsolateException"),
-        "expected StoppedIsolateException, got {err}"
-    );
-    assert_eq!(
-        outcome.accounts.cpu_exact(unit.id(), IsolateId(0)),
-        0,
-        "a pre-run kill must land before any instruction is charged"
-    );
+            "#,
+            "Loop",
+            "spin",
+            vec![1],
+        );
+        let (vm, tids) = build_vm(&program, lane.options(500));
+        let mut cluster = Cluster::builder()
+            .scheduler(SchedulerKind::Parallel(2))
+            .slice(500)
+            .build();
+        let unit = cluster.submit(vm);
+        // A single-isolate unit's workload isolate is the first one created
+        // (the system library lives on the bootstrap loader, not in an
+        // isolate of its own).
+        unit.terminate(IsolateId(0));
+        let outcome = cluster.run();
+        let vm = &outcome.unit(&unit).vm;
+        assert_eq!(
+            outcome.unit(&unit).report.outcome,
+            RunOutcome::Idle,
+            "{lane}"
+        );
+        assert_ne!(
+            vm.isolate_state(IsolateId(0)).unwrap(),
+            IsolateState::Active,
+            "the isolate must be terminated"
+        );
+        let err = vm.thread_outcome(tids[0]).unwrap_err().to_string();
+        assert!(
+            err.contains("StoppedIsolateException"),
+            "expected StoppedIsolateException, got {err}"
+        );
+        assert_eq!(
+            outcome.accounts.cpu_exact(unit.id(), IsolateId(0)),
+            0,
+            "a pre-run kill must land before any instruction is charged"
+        );
+    }
 }
 
 /// Cross-worker termination mid-run: an infinite loop spinning on some
@@ -390,51 +284,56 @@ fn pre_run_termination_is_delivered_before_first_slice() {
 /// files the kill — the paper-§3.3 protocol delivered across cores.
 #[test]
 fn cross_worker_termination_stops_spinning_unit() {
-    let spin = Program {
-        src: r#"
-            class Hog {
-                static int spin(int n) {
-                    int acc = 0;
-                    while (true) { acc = acc + 1; }
-                    return acc;
+    for lane in isolated(Lane::configs()) {
+        let spin = program(
+            r#"
+                class Hog {
+                    static int spin(int n) {
+                        int acc = 0;
+                        while (true) { acc = acc + 1; }
+                        return acc;
+                    }
                 }
-            }
-        "#,
-        entry: "Hog",
-        method: "spin",
-        desc: "(I)I",
-        thread_args: vec![1],
-    };
-    let (vm, tids) = build_unit(&spin, 400);
-    let mut cluster = Cluster::builder()
-        .scheduler(SchedulerKind::Parallel(2))
-        .slice(400)
-        .build();
-    let unit = cluster.submit(vm);
-    let killer_handle = unit.clone();
-    let killer = std::thread::spawn(move || {
-        // Let the hog actually run a few quanta first. A host-side test
-        // driver thread may sleep — the clippy ban targets VM code.
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        killer_handle.terminate(IsolateId(0));
-    });
-    let outcome = cluster.run();
-    killer.join().unwrap();
-    let vm = &outcome.unit(&unit).vm;
-    assert_eq!(outcome.unit(&unit).report.outcome, RunOutcome::Idle);
-    let err = vm.thread_outcome(tids[0]).unwrap_err().to_string();
-    assert!(
-        err.contains("StoppedIsolateException"),
-        "expected StoppedIsolateException, got {err}"
-    );
-    // Everything the hog burned before the kill is charged exactly:
-    // aggregate and in-VM exact CPU agree even for a killed isolate.
-    assert_eq!(
-        outcome.accounts.cpu_exact(unit.id(), IsolateId(0)),
-        vm.isolate_stats(IsolateId(0)).unwrap().cpu_exact,
-        "kill path lost exactly-counted CPU"
-    );
+            "#,
+            "Hog",
+            "spin",
+            vec![1],
+        );
+        let (vm, tids) = build_vm(&spin, lane.options(400));
+        let mut cluster = Cluster::builder()
+            .scheduler(SchedulerKind::Parallel(2))
+            .slice(400)
+            .build();
+        let unit = cluster.submit(vm);
+        let killer_handle = unit.clone();
+        let killer = std::thread::spawn(move || {
+            // Let the hog actually run a few quanta first. A host-side test
+            // thread may sleep — the clippy ban targets VM code.
+            #[allow(clippy::disallowed_methods)]
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            killer_handle.terminate(IsolateId(0));
+        });
+        let outcome = cluster.run();
+        killer.join().unwrap();
+        let vm = &outcome.unit(&unit).vm;
+        assert_eq!(
+            outcome.unit(&unit).report.outcome,
+            RunOutcome::Idle,
+            "{lane}"
+        );
+        let err = vm.thread_outcome(tids[0]).unwrap_err().to_string();
+        assert!(
+            err.contains("StoppedIsolateException"),
+            "expected StoppedIsolateException, got {err}"
+        );
+        // Everything the hog burned before the kill is charged exactly:
+        // aggregate and in-VM exact CPU agree even for a killed isolate.
+        assert_eq!(
+            outcome.accounts.cpu_exact(unit.id(), IsolateId(0)),
+            vm.isolate_stats(IsolateId(0)).unwrap().cpu_exact,
+            "kill path lost exactly-counted CPU"
+        );
+    }
 }
 
 /// The documented `ClusterOutcome::units` invariant: entries are indexed
@@ -443,57 +342,64 @@ fn cross_worker_termination_stops_spinning_unit() {
 /// the deterministic scheduler, and parallel runs shuffle it further.
 #[test]
 fn outcome_units_indexed_by_unit_id_regardless_of_completion_order() {
-    let spin = |n: i32| Program {
-        src: r#"
-            class Arith {
-                static int spin(int n) {
-                    int acc = 7;
-                    for (int i = 0; i < n; i++) { acc = acc * 31 + i; }
-                    return acc % 65536;
+    for lane in Lane::configs() {
+        let spin = |n: i32| {
+            program(
+                r#"
+                class Arith {
+                    static int spin(int n) {
+                        int acc = 7;
+                        for (int i = 0; i < n; i++) { acc = acc * 31 + i; }
+                        return acc % 65536;
+                    }
                 }
+            "#,
+                "Arith",
+                "spin",
+                vec![n],
+            )
+        };
+        // Long, tiny, medium: unit 0 finishes last, unit 1 first.
+        let programs = [spin(6_000), spin(10), spin(1_500)];
+        for kind in [
+            SchedulerKind::Deterministic,
+            SchedulerKind::Parallel(2),
+            SchedulerKind::Parallel(4),
+        ] {
+            let mut cluster = Cluster::builder().scheduler(kind).slice(200).build();
+            let mut handles = Vec::new();
+            let mut tids = Vec::new();
+            for p in &programs {
+                let (vm, unit_tids) = build_vm(p, lane.options(200));
+                handles.push(cluster.submit(vm));
+                tids.push(unit_tids[0]);
             }
-        "#,
-        entry: "Arith",
-        method: "spin",
-        desc: "(I)I",
-        thread_args: vec![n],
-    };
-    // Long, tiny, medium: unit 0 finishes last, unit 1 first.
-    let programs = [spin(6_000), spin(10), spin(1_500)];
-    for kind in [
-        SchedulerKind::Deterministic,
-        SchedulerKind::Parallel(2),
-        SchedulerKind::Parallel(4),
-    ] {
-        let mut cluster = Cluster::builder().scheduler(kind).slice(200).build();
-        let mut handles = Vec::new();
-        let mut tids = Vec::new();
-        for p in &programs {
-            let (vm, unit_tids) = build_unit(p, 200);
-            handles.push(cluster.submit(vm));
-            tids.push(unit_tids[0]);
-        }
-        let outcome = cluster.run();
-        // Slice counts prove completion order differed from unit order.
-        assert!(
-            outcome.units[1].report.slices < outcome.units[0].report.slices,
-            "{kind:?}: the tiny unit should finish in fewer slices"
-        );
-        for (u, handle) in handles.iter().enumerate() {
-            let unit = outcome.unit(handle);
-            assert_eq!(unit.report.id, handle.id());
-            assert_eq!(unit.report.id.index() as usize, u);
-            // Each unit's VM really is the one submitted under that id:
-            // its entry thread computed that unit's expected value.
-            let expect = {
-                let mut acc = 7i32;
-                for i in 0..programs[u].thread_args[0] {
-                    acc = acc.wrapping_mul(31).wrapping_add(i);
-                }
-                (acc % 65536).to_string()
-            };
-            let got = unit.vm.thread_outcome(tids[u]).unwrap().unwrap();
-            assert_eq!(got.to_string(), expect, "{kind:?}: unit {u} mismatch");
+            let outcome = cluster.run();
+            // Slice counts prove completion order differed from unit order.
+            assert!(
+                outcome.units[1].report.slices < outcome.units[0].report.slices,
+                "{kind:?}: the tiny unit should finish in fewer slices"
+            );
+            for (u, handle) in handles.iter().enumerate() {
+                let unit = outcome.unit(handle);
+                assert_eq!(unit.report.id, handle.id(), "{lane}");
+                assert_eq!(unit.report.id.index() as usize, u, "{lane}");
+                // Each unit's VM really is the one submitted under that id:
+                // its entry thread computed that unit's expected value.
+                let expect = {
+                    let mut acc = 7i32;
+                    for i in 0..programs[u].thread_args[0] {
+                        acc = acc.wrapping_mul(31).wrapping_add(i);
+                    }
+                    (acc % 65536).to_string()
+                };
+                let got = unit.vm.thread_outcome(tids[u]).unwrap().unwrap();
+                assert_eq!(
+                    got.to_string(),
+                    expect,
+                    "{lane}: {kind:?}: unit {u} mismatch"
+                );
+            }
         }
     }
 }
@@ -524,21 +430,15 @@ proptest! {
                 }
             }
         "#;
-        let programs: Vec<Program> = sizes
+        let programs: Vec<UnitSpec> = sizes
             .iter()
-            .map(|&n| Program {
-                src: arith,
-                entry: "Arith",
-                method: "spin",
-                desc: "(I)I",
-                thread_args: vec![n as i32],
-            })
+            .map(|&n| program(arith, "Arith", "spin", vec![n as i32]))
             .collect();
-        let oracle = run_set(&programs, SchedulerKind::Deterministic, quantum, slice);
-        for o in &oracle {
-            prop_assert_eq!(&o.aggregate_cpu, &o.cpu_exact);
+        let scenario = Scenario::new(&programs, quantum, slice);
+        for lane in Lane::heavy(Heavy::SchedSets) {
+            let oracle = run_scenario(lane, &scenario, SchedulerKind::Deterministic).units;
+            let parallel = run_scenario(lane, &scenario, SchedulerKind::Parallel(workers)).units;
+            prop_assert_eq!(oracle, parallel, "{}", lane);
         }
-        let parallel = run_set(&programs, SchedulerKind::Parallel(workers), quantum, slice);
-        prop_assert_eq!(oracle, parallel);
     }
 }

@@ -670,3 +670,52 @@ fn string_natives_on_unpaired_surrogates(options: VmOptions) {
     );
     assert_eq!(find, Value::Int(1));
 }
+
+/// The frame pool actually recycles: mid-workload, a call-heavy thread
+/// must hold recycled buffers (returned frames feed the pool, fused
+/// invokes drain it) — and a *terminated* thread must hold none, because
+/// its pool could never be drained again.
+#[test]
+fn frame_pool_recycles_call_frames() {
+    let src = r#"
+        class W {
+            static int step(int x) { return x + 1; }
+            static int spin(int n) {
+                int acc = 0;
+                for (int i = 0; i < n; i++) { acc += step(i); }
+                return acc;
+            }
+        }
+    "#;
+    let mut vm = boot(VmOptions::isolated());
+    let iso = vm.create_isolate("pool");
+    let class = load(&mut vm, iso, src, "W");
+    let tid = spawn(
+        &mut vm,
+        class,
+        "spin",
+        "(I)I",
+        vec![Value::Int(10_000)],
+        iso,
+    );
+
+    // Stop mid-loop: thousands of step() frames have been pushed and
+    // popped, so the live thread's pool must hold recycled buffers.
+    assert_eq!(vm.run(Some(60_000)), RunOutcome::BudgetExhausted);
+    assert!(
+        vm.thread(tid).unwrap().frame_pool.pooled() > 0,
+        "call frames were never recycled"
+    );
+
+    // Run to completion: the result is right, and the terminated
+    // thread's pool has been dropped (it can never be drained again).
+    assert_eq!(vm.run(None), RunOutcome::Idle);
+    assert_eq!(
+        vm.thread_result(tid),
+        Some(Value::Int(50_005_000)),
+        "workload result"
+    );
+    let dead = vm.thread(tid).unwrap();
+    assert!(dead.is_terminated());
+    assert_eq!(dead.frame_pool.pooled(), 0, "terminated pool must drop");
+}
